@@ -226,10 +226,14 @@ def audit_conditioning(
         masked[restrict] = f[restrict]
         contraction = max(contraction, space.norm(g) - space.norm(masked))
         resid = masked - g
-        for cell in part.cells:
-            ind = np.zeros(space.size)
-            ind[np.intersect1d(cell, restrict, assume_unique=True)] = 1.0
-            ortho = max(ortho, abs(space.inner(resid, ind)))
+        # <resid, 1_{cell & restrict}> for every cell at once.
+        sites = restrict[part.cell_of[restrict] >= 0]
+        cell_inner = np.bincount(
+            part.cell_of[sites],
+            weights=resid[sites] * space.weights[sites],
+            minlength=part.n_cells,
+        )
+        ortho = max(ortho, float(np.abs(cell_inner).max()))
         again = condition_on_partition(g, part, space, restrict_to=restrict)
         idem = max(idem, float(np.abs(again.expand() - g).max()))
     return [
@@ -258,13 +262,18 @@ def audit_cell_oscillation(basis: OrthonormalBasis, ms, ks) -> AuditResult:
     for m in ms:
         for k in ks:
             part = level_partition(basis, m, k)
-            width = 2.0 ** -k
-            for cell, is_tail in zip(part.cells, part.tail_mask):
-                if is_tail:
-                    continue
-                block = basis.vectors[:m, cell]
-                osc = float((block.max(axis=1) - block.min(axis=1)).max())
-                worst = max(worst, osc - width)
+            sites = part.support[~part.tail_mask[part.cell_of[part.support]]]
+            if sites.size == 0:
+                continue
+            # Group the sites of non-tail cells by cell, then take per-cell
+            # extremes of every mode with one reduceat each.
+            order = sites[np.argsort(part.cell_of[sites], kind="stable")]
+            starts = np.flatnonzero(np.diff(part.cell_of[order], prepend=-1))
+            block = basis.vectors[:m, order]
+            osc = np.maximum.reduceat(block, starts, axis=1) - np.minimum.reduceat(
+                block, starts, axis=1
+            )
+            worst = max(worst, float(osc.max()) - 2.0 ** -k)
     return _result("cell-oscillation", worst, 1e-12)
 
 
@@ -275,15 +284,16 @@ def audit_partition_refinement(basis: OrthonormalBasis, ms, ks) -> AuditResult:
     broken = 0
     parts = {(m, k): level_partition(basis, m, k) for m in ms for k in ks}
     for (m, k), coarse in parts.items():
-        owner = coarse.point_to_cell
+        owner = coarse.cell_of
         for (m2, k2), fine in parts.items():
             if m2 < m or k2 < k or (m2, k2) == (m, k):
                 continue
             pairs += 1
-            for cell in fine.cells:
-                if np.unique(owner[cell]).size != 1:
-                    broken += 1
-                    break
+            # Every site must share the coarse owner of its fine cell's
+            # first site.
+            on = fine.support
+            if np.any(owner[on] != owner[fine.first_sites][fine.cell_of[on]]):
+                broken += 1
     return _result("partition-refinement", float(broken), 0.0, f"{pairs} grid pairs")
 
 
@@ -424,13 +434,12 @@ def audit_extraction_tower(
     coarse = final_stage_graph(model, basis, coarse_ix)
     fine = final_stage_graph(model, basis, fine_ix)
     assert coarse.partition is not None and fine.partition is not None
-    lift = coarse.partition.point_to_cell
-    drop = fine.partition.point_to_cell
+    lift = coarse.partition.cell_of
+    first = fine.partition.first_sites
     worst = 0.0
     for _ in range(25):
         alpha = rng.standard_normal(coarse.n_vertices)
-        values = alpha[lift]
-        beta = np.array([values[cell[0]] for cell in fine.partition.cells])
+        beta = alpha[lift[first]]
         worst = max(worst, abs(graph_energy(coarse, alpha) - graph_energy(fine, beta)))
     return _result(f"extraction-tower[{model.name}]", worst, 1e-9)
 

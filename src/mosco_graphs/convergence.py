@@ -71,6 +71,23 @@ def _solve_on_subspace(stage: StageForm, lam: float, rhs: np.ndarray) -> np.ndar
     return scipy.linalg.solve(matrix, rhs, assume_a="pos")
 
 
+def _check_residual(
+    stage: StageForm, lam: float, u: np.ndarray, c: np.ndarray, f: np.ndarray
+) -> None:
+    """Raise SolverError unless (lambda - A) u = c holds to RESIDUAL_TOL * ||f||.
+
+    ``u`` and ``c`` hold subspace coefficients in their last axis, one row
+    per input vector in ``f``; the check is made for every row.
+    """
+    residual = np.linalg.norm(lam * u - u @ stage.matrix.T - c, axis=-1)
+    ratio = np.atleast_1d(residual / np.maximum(stage.space.norm(f), 1e-300))
+    if not np.all(ratio <= RESIDUAL_TOL):
+        raise SolverError(
+            f"resolvent solve residual {ratio.max():.3e} * ||f|| exceeds "
+            f"{RESIDUAL_TOL:.1e} * ||f||"
+        )
+
+
 def stage_resolvent(stage: StageForm, lam: float, f: np.ndarray) -> np.ndarray:
     """(lambda - L_stage)^{-1} f with the vanishing-off-subspace rule.
 
@@ -83,13 +100,7 @@ def stage_resolvent(stage: StageForm, lam: float, f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     c = stage.coefficients(f)
     u = _solve_on_subspace(stage, lam, c)
-    residual = float(np.linalg.norm(lam * u - stage.matrix @ u - c))
-    scale = float(stage.space.norm(f))
-    if residual > RESIDUAL_TOL * max(scale, 1e-300):
-        raise SolverError(
-            f"resolvent solve residual {residual:.3e} exceeds "
-            f"{RESIDUAL_TOL:.1e} * ||f||"
-        )
+    _check_residual(stage, lam, u, c, f)
     complement = f - c @ stage.subspace
     return u @ stage.subspace + complement / lam
 
@@ -183,6 +194,7 @@ def _records_for_index(
     for lam in lambdas:
         coeffs = sf.coefficients(stack)
         solved = _solve_on_subspace(sf, lam, coeffs.T).T
+        _check_residual(sf, lam, solved, coeffs, stack)
         approx = solved @ sf.subspace + (stack - coeffs @ sf.subspace) / lam
         exact_res = model.exact_resolvent(lam, stack)
         per_lambda[lam] = np.atleast_1d(model.space.norm(approx - exact_res))

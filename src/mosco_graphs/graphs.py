@@ -284,26 +284,59 @@ def graph_to_json_dict(graph: WeightedGraph) -> dict:
     return {"scale": float(graph.scale), "vertices": vertices, "edges": edges}
 
 
+def _graph_from_tables(ids, mu, kappa, i, j, c, scale) -> WeightedGraph:
+    """Validate parsed vertex and edge columns, then assemble the graph.
+
+    ``ids``, ``mu``, ``kappa`` are per-vertex columns in file order; ``i``,
+    ``j`` and ``c`` are per-edge columns.  Every rejection is a ValueError
+    naming the offending field.
+    """
+    if not np.isfinite(scale):
+        raise ValueError("scale: must be finite")
+    ids = np.asarray(ids)
+    v = ids.size
+    if v and ids.dtype.kind not in "iu":
+        raise ValueError("vertex id: ids must be integers")
+    ids = ids.astype(np.intp)
+    if not np.array_equal(np.sort(ids), np.arange(v)):
+        raise ValueError("vertex id: ids must be 0..V-1 with no gap or duplicate")
+    for name, values in (("mu", mu), ("kappa", kappa)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"vertex {name}: values must be finite")
+    ends = []
+    for name, raw in (("i", i), ("j", j)):
+        end = np.asarray(raw)
+        if end.size and end.dtype.kind not in "iu":
+            raise ValueError(f"edge {name}: endpoints must be integers")
+        end = end.astype(np.intp)
+        if np.any((end < 0) | (end >= v)):
+            raise ValueError(f"edge {name}: endpoints must lie in 0..{v - 1}")
+        ends.append(end)
+    c = np.asarray(c, dtype=float)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("edge c: conductances must be finite")
+    mu_by_id = np.empty(v)
+    kappa_by_id = np.empty(v)
+    mu_by_id[ids] = mu
+    kappa_by_id[ids] = kappa
+    matrix = np.zeros((v, v))
+    matrix[ends[0], ends[1]] = c
+    matrix[ends[1], ends[0]] = c
+    return WeightedGraph(
+        vertex_weights=mu_by_id, conductances=matrix, killing=kappa_by_id, scale=scale
+    )
+
+
 def graph_from_json_dict(data: dict) -> WeightedGraph:
     vertices = data["vertices"]
-    v = len(vertices)
-    ids = [entry["id"] for entry in vertices]
-    if sorted(ids) != list(range(v)):
-        raise ValueError("vertex ids must be 0..V-1")
-    mu = np.empty(v)
-    kappa = np.empty(v)
-    for entry in vertices:
-        mu[entry["id"]] = entry["mu"]
-        kappa[entry["id"]] = entry["kappa"]
-    c = np.zeros((v, v))
-    for entry in data["edges"]:
-        i, j = entry["i"], entry["j"]
-        c[i, j] = entry["c"]
-        c[j, i] = entry["c"]
-    return WeightedGraph(
-        vertex_weights=mu,
-        conductances=c,
-        killing=kappa,
+    edges = data["edges"]
+    return _graph_from_tables(
+        ids=[entry["id"] for entry in vertices],
+        mu=[entry["mu"] for entry in vertices],
+        kappa=[entry["kappa"] for entry in vertices],
+        i=[entry["i"] for entry in edges],
+        j=[entry["j"] for entry in edges],
+        c=[entry["c"] for entry in edges],
         scale=float(data.get("scale", 1.0)),
     )
 
@@ -357,19 +390,13 @@ def read_edge_list(edges_path, vertices_path) -> WeightedGraph:
         return scale, rows
 
     scale, vertex_rows = parse(vertices_path)
-    v = len(vertex_rows)
-    mu = np.empty(v)
-    kappa = np.empty(v)
-    for row in vertex_rows:
-        i = int(row[0])
-        mu[i] = float(row[1])
-        kappa[i] = float(row[2])
     _, edge_rows = parse(edges_path)
-    c = np.zeros((v, v))
-    for row in edge_rows:
-        i, j, value = int(row[0]), int(row[1]), float(row[2])
-        c[i, j] = value
-        c[j, i] = value
-    return WeightedGraph(
-        vertex_weights=mu, conductances=c, killing=kappa, scale=scale
+    return _graph_from_tables(
+        ids=[int(row[0]) for row in vertex_rows],
+        mu=[float(row[1]) for row in vertex_rows],
+        kappa=[float(row[2]) for row in vertex_rows],
+        i=[int(row[0]) for row in edge_rows],
+        j=[int(row[1]) for row in edge_rows],
+        c=[float(row[2]) for row in edge_rows],
+        scale=scale,
     )

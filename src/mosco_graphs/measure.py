@@ -7,10 +7,11 @@ only geometry used anywhere downstream is the weighted inner product
 
     <f, g> = sum_x f(x) g(x) w(x).
 
-Partitions collect disjoint index cells of positive mass.  A step function
-pairs a partition with one coefficient per cell, and conditioning a
-function on a partition (optionally under a restricted index set) is the
-weighted-L2 orthogonal projection onto the span of the cell indicators.
+Partitions label every site with its cell (or -1 off the support); cells
+are disjoint and carry positive mass.  A step function pairs a partition
+with one coefficient per cell, and conditioning a function on a partition
+(optionally under a restricted index set) is the weighted-L2 orthogonal
+projection onto the span of the cell indicators.
 """
 from __future__ import annotations
 
@@ -152,50 +153,82 @@ def uniform_interval_space(resolution: int, n_levels: int = 4) -> AmbientSpace:
 # partitions and step functions
 # ---------------------------------------------------------------------------
 
+def _check_cell_range(cell_of: np.ndarray, n_cells: int) -> None:
+    if cell_of.size and (cell_of.min() < -1 or cell_of.max() >= n_cells):
+        raise PartitionError(f"cell_of entries must lie in -1..{n_cells - 1}")
+
+
 @dataclass(frozen=True, eq=False)
 class CellPartition:
-    """Disjoint index cells of positive mass over a grid of ``size`` sites.
+    """Disjoint cells of positive mass, stored as one site -> cell label vector.
 
-    ``labels`` and ``level`` are present when the partition came from a
-    dyadic level-set construction: row i of ``labels`` is the multi-index
-    of cell i and ``level`` is the dyadic resolution k.  Ad-hoc partitions
-    leave both unset.
+    ``cell_of[x]`` is the cell of site x, or -1 for sites off the support;
+    cells are numbered 0..n_cells-1 and every number is carried by at least
+    one site.  ``labels`` and ``level`` are present when the partition came
+    from a dyadic level-set construction: row i of ``labels`` is the
+    multi-index of cell i and ``level`` is the dyadic resolution k.  Ad-hoc
+    partitions leave both unset.
     """
 
-    size: int
-    cells: tuple[np.ndarray, ...]
+    cell_of: np.ndarray
     masses: np.ndarray
     labels: np.ndarray | None = None
     level: int | None = None
 
     def __post_init__(self):
-        if not self.cells:
-            raise PartitionError("partition needs at least one cell")
-        cells = []
-        for raw in self.cells:
-            idx = np.asarray(raw, dtype=np.intp)
-            if idx.size == 0:
-                raise PartitionError("empty cell")
-            if idx[0] < 0 or idx[-1] >= self.size or np.any(np.diff(idx) <= 0):
-                raise PartitionError("cell indices must be sorted, unique, in range")
-            idx = _frozen_array(idx, dtype=np.intp)
-            cells.append(idx)
-        support = np.concatenate(cells)
-        if np.unique(support).size != support.size:
-            raise PartitionError("cells overlap")
+        cell_of = _frozen_array(self.cell_of, dtype=np.intp)
         masses = _frozen_array(self.masses)
-        if masses.shape != (len(cells),):
-            raise PartitionError("one mass per cell required")
-        if np.any(masses <= 0):
-            raise PartitionError("cells must have positive mass")
+        if cell_of.ndim != 1 or masses.ndim != 1:
+            raise PartitionError("cell_of and masses must be one-dimensional")
+        n_cells = masses.size
+        if n_cells == 0:
+            raise PartitionError("partition needs at least one cell")
+        _check_cell_range(cell_of, n_cells)
+        if np.any(np.bincount(cell_of[cell_of >= 0], minlength=n_cells) == 0):
+            raise PartitionError("every cell index must be carried by a site")
+        if not np.all(np.isfinite(masses)) or np.any(masses <= 0):
+            raise PartitionError("cells must have finite positive mass")
         labels = self.labels
         if labels is not None:
             labels = _frozen_array(labels, dtype=np.int64)
-            if labels.shape[0] != len(cells):
+            if labels.shape[0] != n_cells:
                 raise PartitionError("one label row per cell required")
-        object.__setattr__(self, "cells", tuple(cells))
+        object.__setattr__(self, "cell_of", cell_of)
         object.__setattr__(self, "masses", masses)
         object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def from_labels(
+        cls,
+        space: AmbientSpace,
+        cell_of: np.ndarray,
+        n_cells: int,
+        labels: np.ndarray | None = None,
+        level: int | None = None,
+    ) -> "CellPartition":
+        """Build a partition from a site -> cell vector, dropping massless cells.
+
+        ``cell_of`` holds a candidate cell in 0..n_cells-1 for each site,
+        or -1.  Candidates that are empty or carry zero weight are removed
+        (their labels with them) and the survivors renumbered in their
+        original order; raising only happens when nothing survives.
+        """
+        cell_of = np.asarray(cell_of, dtype=np.intp)
+        if cell_of.shape != (space.size,):
+            raise PartitionError(f"cell_of must have shape ({space.size},)")
+        _check_cell_range(cell_of, n_cells)
+        on = cell_of >= 0
+        masses = np.bincount(cell_of[on], weights=space.weights[on], minlength=n_cells)
+        keep = masses > 0
+        if not keep.any():
+            raise PartitionError("no cell retains positive mass")
+        if not keep.all():
+            renumber = np.where(keep, np.cumsum(keep) - 1, -1)
+            cell_of = np.where(on, renumber[cell_of], -1)
+            masses = masses[keep]
+            if labels is not None:
+                labels = np.asarray(labels)[keep]
+        return cls(cell_of=cell_of, masses=masses, labels=labels, level=level)
 
     @classmethod
     def from_cells(
@@ -205,58 +238,63 @@ class CellPartition:
         labels: np.ndarray | None = None,
         level: int | None = None,
     ) -> "CellPartition":
-        """Build a partition, dropping cells with no mass.
-
-        Candidate cells that are empty or carry zero weight are removed
-        (their labels with them); raising only happens when nothing
-        survives.
-        """
-        kept_cells, kept_masses, kept_labels = [], [], []
-        for i, raw in enumerate(cells):
+        """Build a partition from per-cell index arrays, dropping cells with no mass."""
+        cell_of = np.full(space.size, -1, dtype=np.intp)
+        for c, raw in enumerate(cells):
             idx = np.unique(np.asarray(raw, dtype=np.intp))
-            if idx.size == 0:
-                continue
-            mass = float(space.weights[idx].sum())
-            if mass <= 0.0:
-                continue
-            kept_cells.append(idx)
-            kept_masses.append(mass)
-            if labels is not None:
-                kept_labels.append(labels[i])
-        if not kept_cells:
-            raise PartitionError("no cell retains positive mass")
-        return cls(
-            size=space.size,
-            cells=tuple(kept_cells),
-            masses=np.array(kept_masses),
-            labels=np.array(kept_labels) if labels is not None else None,
-            level=level,
-        )
+            if idx.size and (idx[0] < 0 or idx[-1] >= space.size):
+                raise PartitionError("cell indices out of range")
+            if np.any(cell_of[idx] >= 0):
+                raise PartitionError("cells overlap")
+            cell_of[idx] = c
+        return cls.from_labels(space, cell_of, len(cells), labels=labels, level=level)
 
     @classmethod
     def singletons(cls, space: AmbientSpace) -> "CellPartition":
         """Finest partition: one cell per positive-mass site."""
-        idx = np.flatnonzero(space.weights > 0)
-        return cls.from_cells(space, [np.array([i]) for i in idx])
+        cell_of = np.full(space.size, -1, dtype=np.intp)
+        alive = np.flatnonzero(space.weights > 0)
+        cell_of[alive] = np.arange(alive.size)
+        return cls.from_labels(space, cell_of, alive.size)
 
     # -- derived structure -------------------------------------------------
 
     @property
+    def size(self) -> int:
+        return self.cell_of.size
+
+    @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return self.masses.size
+
+    @property
+    def point_to_cell(self) -> np.ndarray:
+        """Site index -> cell index, with -1 off the support."""
+        return self.cell_of
 
     @cached_property
     def support(self) -> np.ndarray:
-        out = np.sort(np.concatenate(self.cells))
+        out = np.flatnonzero(self.cell_of >= 0)
         out.setflags(write=False)
         return out
 
     @cached_property
-    def point_to_cell(self) -> np.ndarray:
-        """Site index -> cell index, with -1 off the support."""
-        out = np.full(self.size, -1, dtype=np.intp)
-        for c, idx in enumerate(self.cells):
-            out[idx] = c
+    def cells(self) -> tuple[np.ndarray, ...]:
+        """Sorted site indices of each cell."""
+        on = self.support
+        order = on[np.argsort(self.cell_of[on], kind="stable")]
+        counts = np.bincount(self.cell_of[on], minlength=self.n_cells)
+        out = tuple(np.split(order, np.cumsum(counts)[:-1]))
+        for idx in out:
+            idx.setflags(write=False)
+        return out
+
+    @cached_property
+    def first_sites(self) -> np.ndarray:
+        """(n_cells,) lowest site index of each cell."""
+        on = self.support
+        _, first = np.unique(self.cell_of[on], return_index=True)
+        out = on[first]
         out.setflags(write=False)
         return out
 
@@ -264,8 +302,7 @@ class CellPartition:
     def indicator_matrix(self) -> np.ndarray:
         """(n_cells, size) 0/1 matrix of cell indicators."""
         out = np.zeros((self.n_cells, self.size))
-        for c, idx in enumerate(self.cells):
-            out[c, idx] = 1.0
+        out[self.cell_of[self.support], self.support] = 1.0
         out.setflags(write=False)
         return out
 
@@ -288,12 +325,20 @@ class CellPartition:
     def restrict(self, space: AmbientSpace, indices: np.ndarray) -> "CellPartition":
         """Intersect every cell with an index set, keeping positive-mass cells.
 
-        Raises PartitionError when no cell survives the restriction.
+        Raises PartitionError when an index is out of range or no cell
+        survives the restriction.
         """
         indices = np.asarray(indices, dtype=np.intp)
-        cells = [np.intersect1d(c, indices) for c in self.cells]
-        return CellPartition.from_cells(
-            space, cells, labels=self.labels, level=self.level
+        if indices.size and (indices.min() < 0 or indices.max() >= self.size):
+            raise PartitionError(f"restriction indices must lie in 0..{self.size - 1}")
+        keep = np.zeros(self.size, dtype=bool)
+        keep[indices] = True
+        return CellPartition.from_labels(
+            space,
+            np.where(keep, self.cell_of, -1),
+            self.n_cells,
+            labels=self.labels,
+            level=self.level,
         )
 
     def refines(self, coarser: "CellPartition") -> bool:
@@ -301,16 +346,11 @@ class CellPartition:
         and the supports agree."""
         if self.size != coarser.size:
             return False
-        if self.support.size != coarser.support.size or np.any(
-            self.support != coarser.support
-        ):
+        if not np.array_equal(self.cell_of >= 0, coarser.cell_of >= 0):
             return False
-        owner = coarser.point_to_cell
-        for idx in self.cells:
-            owners = owner[idx]
-            if owners[0] < 0 or np.any(owners != owners[0]):
-                return False
-        return True
+        owner = coarser.cell_of[self.support]
+        expected = coarser.cell_of[self.first_sites][self.cell_of[self.support]]
+        return bool(np.array_equal(owner, expected))
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,9 +371,8 @@ class StepFunction:
     def expand(self) -> np.ndarray:
         """Pointwise values on the full grid; zero off the support."""
         out = np.zeros(self.partition.size)
-        ptc = self.partition.point_to_cell
-        on = ptc >= 0
-        out[on] = self.coefficients[ptc[on]]
+        on = self.partition.support
+        out[on] = self.coefficients[self.partition.cell_of[on]]
         return out
 
     @property

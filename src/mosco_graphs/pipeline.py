@@ -176,9 +176,8 @@ def level_partition(basis: OrthonormalBasis, m: int, k: int) -> CellPartition:
     labels = np.where(values <= -window, -(4**k) - 1, labels)
     labels = np.where(values > window, 4**k, labels)
     unique, inverse = np.unique(labels.T, axis=0, return_inverse=True)
-    cells = [np.flatnonzero(inverse == c) for c in range(unique.shape[0])]
-    return CellPartition.from_cells(
-        basis.space, cells, labels=unique, level=k
+    return CellPartition.from_labels(
+        basis.space, inverse.reshape(-1), unique.shape[0], labels=unique, level=k
     )
 
 

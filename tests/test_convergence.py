@@ -4,6 +4,7 @@ import pytest
 
 from mosco_graphs import (
     OrthonormalBasis,
+    SolverError,
     ResolventProbe,
     StageForm,
     StageIndex,
@@ -22,6 +23,7 @@ from mosco_graphs import (
     stage_resolvent,
     uniform_interval_space,
 )
+from mosco_graphs import convergence
 
 
 class TestStageResolvent:
@@ -324,6 +326,28 @@ class TestSweep:
             model, model.basis, grid, battery, record_timings=True
         )
         assert all(r.wall_ms > 0.0 for r in on)
+
+    @pytest.mark.parametrize("error", [1e-6, np.nan])
+    def test_inaccurate_solve_is_refused(self, monkeypatch, error):
+        # The sweep's batched solve carries the same residual guard as
+        # stage_resolvent: one bad vector is enough to stop it.
+        model, battery, grid = self.make_inputs()
+        exact_solve = convergence._solve_on_subspace
+
+        def sloppy(stage, lam, rhs):
+            out = np.array(exact_solve(stage, lam, rhs))
+            out[..., -1] += error
+            return out
+
+        monkeypatch.setattr(convergence, "_solve_on_subspace", sloppy)
+        with pytest.raises(SolverError, match="residual"):
+            iterated_limit_sweep(model, model.basis, grid, battery)
+        with pytest.raises(SolverError, match="residual"):
+            stage_resolvent(
+                stage_generator(model, model.basis, StageIndex(2, 4)),
+                1.0,
+                battery[1].values,
+            )
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

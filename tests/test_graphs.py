@@ -1,4 +1,6 @@
 """Graph extraction, the energy identity, and the export formats."""
+import json
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from mosco_graphs import (
     write_edge_list,
     write_graph_json,
 )
+from mosco_graphs.graphs import graph_from_json_dict
 
 
 def two_site_kernel(p_matrix):
@@ -313,3 +316,116 @@ class TestExports:
             assert graph_energy(back, alpha) == pytest.approx(
                 graph_energy(graph, alpha), rel=1e-9, abs=1e-9
             )
+
+
+class TestReaderValidation:
+    """Both readers refuse malformed input and name the offending field."""
+
+    @staticmethod
+    def good_dict():
+        return {
+            "scale": 2.0,
+            "vertices": [
+                {"id": 0, "mu": 1.0, "kappa": 0.5},
+                {"id": 1, "mu": 1.0, "kappa": 0.25},
+                {"id": 2, "mu": 0.5, "kappa": 0.0},
+            ],
+            "edges": [
+                {"i": 0, "j": 1, "c": 0.75},
+                {"i": 1, "j": 2, "c": 0.5},
+                {"i": 2, "j": 2, "c": 0.25},
+            ],
+        }
+
+    @staticmethod
+    def write_tables(tmp_path, data):
+        edges = tmp_path / "g.edges.txt"
+        vertices = tmp_path / "g.vertices.txt"
+        header = f"# scale {data['scale']!r}\n"
+        vertices.write_text(
+            header
+            + "".join(f"{v['id']} {v['mu']!r} {v['kappa']!r}\n" for v in data["vertices"])
+        )
+        edges.write_text(
+            header + "".join(f"{e['i']} {e['j']} {e['c']!r}\n" for e in data["edges"])
+        )
+        return edges, vertices
+
+    @staticmethod
+    def broken(case):
+        data = TestReaderValidation.good_dict()
+        if case == "negative-i":
+            data["edges"][0]["i"] = -1
+        elif case == "large-j":
+            data["edges"][1]["j"] = 3
+        elif case == "gapped-id":
+            data["vertices"][2]["id"] = 3
+        elif case == "duplicated-id":
+            data["vertices"][2]["id"] = 1
+        elif case == "nan-c":
+            data["edges"][0]["c"] = float("nan")
+        elif case == "inf-c":
+            data["edges"][2]["c"] = float("inf")
+        elif case == "nan-scale":
+            data["scale"] = float("nan")
+        return data
+
+    CASES = [
+        ("negative-i", "edge i"),
+        ("large-j", "edge j"),
+        ("gapped-id", "vertex id"),
+        ("duplicated-id", "vertex id"),
+        ("nan-c", "edge c"),
+        ("inf-c", "edge c"),
+        ("nan-scale", "scale"),
+    ]
+
+    def test_good_tables_read_the_same_both_ways(self, tmp_path):
+        data = self.good_dict()
+        from_json = graph_from_json_dict(data)
+        from_text = read_edge_list(*self.write_tables(tmp_path, data))
+        assert from_json.scale == from_text.scale == 2.0
+        assert np.array_equal(from_json.conductances, from_text.conductances)
+        assert np.array_equal(from_json.vertex_weights, from_text.vertex_weights)
+        assert np.array_equal(from_json.killing, from_text.killing)
+        assert from_json.conductances[1, 0] == 0.75
+
+    def test_vertex_rows_may_come_in_any_order(self, tmp_path):
+        data = self.good_dict()
+        data["vertices"].reverse()
+        assert np.array_equal(graph_from_json_dict(data).vertex_weights, [1.0, 1.0, 0.5])
+        back = read_edge_list(*self.write_tables(tmp_path, data))
+        assert np.array_equal(back.killing, [0.5, 0.25, 0.0])
+
+    @pytest.mark.parametrize("case, field", CASES)
+    def test_json_reader_rejects(self, case, field):
+        with pytest.raises(ValueError, match=field):
+            graph_from_json_dict(self.broken(case))
+
+    @pytest.mark.parametrize("case, field", CASES)
+    def test_json_file_reader_rejects(self, case, field, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(self.broken(case)))
+        with pytest.raises(ValueError, match=field):
+            read_graph_json(path)
+
+    @pytest.mark.parametrize("case, field", CASES)
+    def test_edge_list_reader_rejects(self, case, field, tmp_path):
+        with pytest.raises(ValueError, match=field):
+            read_edge_list(*self.write_tables(tmp_path, self.broken(case)))
+
+    def test_json_ids_must_be_integers(self):
+        data = self.good_dict()
+        data["vertices"][1]["id"] = 1.5
+        with pytest.raises(ValueError, match="vertex id"):
+            graph_from_json_dict(data)
+        data = self.good_dict()
+        data["edges"][0]["j"] = 1.0
+        with pytest.raises(ValueError, match="edge j"):
+            graph_from_json_dict(data)
+
+    def test_non_finite_vertex_values_rejected(self):
+        data = self.good_dict()
+        data["vertices"][0]["kappa"] = float("nan")
+        with pytest.raises(ValueError, match="vertex kappa"):
+            graph_from_json_dict(data)

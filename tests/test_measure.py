@@ -1,6 +1,8 @@
 """Weighted spaces, partitions, step functions, conditioning, bases."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mosco_graphs import (
     AmbientSpace,
@@ -113,11 +115,10 @@ class TestStepFunctions:
 
 class TestPartitions:
     def test_overlap_rejected(self):
+        space = AmbientSpace(np.arange(3.0), np.ones(3), (np.arange(3),))
         with pytest.raises(PartitionError, match="overlap"):
-            CellPartition(
-                size=3,
-                cells=(np.array([0, 1]), np.array([1, 2])),
-                masses=np.array([1.0, 1.0]),
+            CellPartition.from_cells(
+                space, (np.array([0, 1]), np.array([1, 2]))
             )
 
     def test_zero_mass_cells_dropped(self):
@@ -175,6 +176,142 @@ class TestPartitions:
         cut = part.restrict(space, np.arange(4))
         assert cut.n_cells == 1
         assert np.array_equal(cut.cells[0], np.arange(4))
+
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_restrict_rejects_out_of_range_indices(self, bad):
+        space = uniform_interval_space(8)
+        part = CellPartition.from_cells(space, [np.arange(4), np.arange(4, 8)])
+        with pytest.raises(PartitionError, match="0..7"):
+            part.restrict(space, np.array([0, bad]))
+
+
+class TestPartitionConstructor:
+    """Direct construction from a site -> cell vector validates its input."""
+
+    def test_valid_fields_are_accepted(self):
+        part = CellPartition(
+            cell_of=np.array([0, -1, 1, 0]), masses=np.array([2.0, 1.0])
+        )
+        assert part.size == 4
+        assert part.n_cells == 2
+        assert np.array_equal(part.support, [0, 2, 3])
+        assert [c.tolist() for c in part.cells] == [[0, 3], [2]]
+
+    @pytest.mark.parametrize("entry", [-2, 2])
+    def test_cell_index_out_of_range_rejected(self, entry):
+        with pytest.raises(PartitionError, match="-1..1"):
+            CellPartition(
+                cell_of=np.array([0, 1, entry]), masses=np.array([1.0, 1.0])
+            )
+
+    def test_cell_without_sites_rejected(self):
+        with pytest.raises(PartitionError, match="carried by a site"):
+            CellPartition(
+                cell_of=np.array([0, 0, 2]), masses=np.array([1.0, 1.0, 1.0])
+            )
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_mass_rejected(self, bad):
+        with pytest.raises(PartitionError, match="finite positive mass"):
+            CellPartition(cell_of=np.array([0, 1]), masses=np.array([1.0, bad]))
+
+    def test_label_rows_must_match_cells(self):
+        with pytest.raises(PartitionError, match="label row"):
+            CellPartition(
+                cell_of=np.array([0, 1]),
+                masses=np.array([1.0, 1.0]),
+                labels=np.zeros((3, 2)),
+                level=1,
+            )
+
+    def test_from_labels_drops_massless_cells_in_order(self):
+        space = AmbientSpace(
+            np.arange(5.0), np.array([1.0, 0.0, 2.0, 0.0, 3.0]), (np.arange(5),)
+        )
+        labels = np.array([[10], [11], [12], [13]])
+        part = CellPartition.from_labels(
+            space, np.array([2, 1, 0, 1, -1]), 4, labels=labels, level=0
+        )
+        # cell 1 has only a zero-weight site and cell 3 no site at all.
+        assert np.array_equal(part.cell_of, [1, -1, 0, -1, -1])
+        assert np.array_equal(part.masses, [2.0, 1.0])
+        assert np.array_equal(part.labels, [[10], [12]])
+
+
+def _reference_cells(weights, cells):
+    """Positive-mass cells as Python sets, in candidate order."""
+    return [set(c) for c in cells if c and sum(weights[i] for i in c) > 0]
+
+
+@st.composite
+def partitions_with_restrictions(draw):
+    size = draw(st.integers(1, 24))
+    weights = np.array(
+        draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]), min_size=size, max_size=size))
+    )
+    assume(weights.sum() > 0)
+    n_candidates = draw(st.integers(1, 8))
+    owner = draw(st.lists(st.integers(-1, n_candidates - 1), min_size=size, max_size=size))
+    cells = [[i for i in range(size) if owner[i] == c] for c in range(n_candidates)]
+    assume(_reference_cells(weights, cells))
+    keep = draw(st.lists(st.integers(0, size - 1), max_size=size))
+    return weights, cells, np.array(keep, dtype=np.intp)
+
+
+class TestPartitionProperties:
+    """Label-vector partitions against a brute-force model built from sets."""
+
+    @staticmethod
+    def check_against(part, weights, ref):
+        size = weights.size
+        assert part.n_cells == len(ref)
+        assert [set(c.tolist()) for c in part.cells] == ref
+        for cell in part.cells:
+            assert np.all(np.diff(cell) > 0)
+        assert part.support.tolist() == sorted(set().union(*ref))
+        assert np.array_equal(
+            part.masses, [sum(weights[i] for i in sorted(c)) for c in ref]
+        )
+        dense = np.zeros((len(ref), size))
+        for c, cell in enumerate(ref):
+            dense[c, sorted(cell)] = 1.0
+        assert np.array_equal(part.indicator_matrix, dense)
+        assert part.first_sites.tolist() == [min(c) for c in ref]
+
+    @settings(max_examples=150, deadline=None)
+    @given(partitions_with_restrictions())
+    def test_from_cells_restrict_refines(self, case):
+        weights, cells, keep = case
+        size = weights.size
+        space = AmbientSpace(np.arange(float(size)), weights, (np.arange(size),))
+        part = CellPartition.from_cells(space, [np.array(c, dtype=np.intp) for c in cells])
+        ref = _reference_cells(weights, cells)
+        self.check_against(part, weights, ref)
+
+        kept = set(keep.tolist())
+        cut_ref = _reference_cells(weights, [sorted(c & kept) for c in ref])
+        if not cut_ref:
+            with pytest.raises(PartitionError):
+                part.restrict(space, keep)
+            return
+        cut = part.restrict(space, keep)
+        self.check_against(cut, weights, cut_ref)
+
+        def refines_ref(fine, coarse):
+            if set().union(*fine) != set().union(*coarse):
+                return False
+            return all(any(f <= c for c in coarse) for f in fine)
+
+        assert part.refines(part)
+        assert cut.refines(part) == refines_ref(cut_ref, ref)
+        assert part.refines(cut) == refines_ref(ref, cut_ref)
+        # Splitting every cell in two refines it unless a massless half
+        # drops out of the support.
+        halves = [sorted(c)[start::2] for c in ref for start in (0, 1)]
+        halves_ref = _reference_cells(weights, halves)
+        finer = CellPartition.from_cells(space, [np.array(h, dtype=np.intp) for h in halves])
+        assert finer.refines(part) == refines_ref(halves_ref, ref)
+        assert part.refines(finer) == refines_ref(ref, halves_ref)
 
 
 class TestConditioning:
