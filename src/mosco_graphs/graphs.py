@@ -261,36 +261,70 @@ def final_stage_graph(
 # exports
 # ---------------------------------------------------------------------------
 
-def graph_to_json_dict(graph: WeightedGraph) -> dict:
+def _edge_columns(graph: WeightedGraph):
+    """The exported edges as ``i``, ``j`` and ``c`` columns.
+
+    These are the upper-triangle pairs i <= j, in row-major order, whose
+    conductance exceeds EDGE_EPS; smaller ones are numerical zeros.
+    """
+    i, j = np.triu_indices(graph.n_vertices)
+    c = graph.conductances[i, j]
+    keep = c > EDGE_EPS
+    return i[keep], j[keep], c[keep]
+
+
+def _json_spelled(values: np.ndarray) -> list[str]:
+    """Each float as ``json.dumps`` spells it: repr, or NaN/Infinity."""
+    return json.dumps(values.tolist())[1:-1].split(", ") if values.size else []
+
+
+# One list entry each, laid out as ``json.dumps(..., indent=1)`` does.
+_JSON_VERTEX = '  {{\n   "id": {},\n   "mu": {},\n   "kappa": {}\n  }}'
+_JSON_EDGE = '  {{\n   "i": {},\n   "j": {},\n   "c": {}\n  }}'
+
+
+def _json_list(name: str, template: str, *columns) -> str:
+    if not len(columns[0]):
+        return f' "{name}": []'
+    entries = ",\n".join(map(template.format, *columns))
+    return f' "{name}": [\n{entries}\n ]'
+
+
+def write_graph_json(graph: WeightedGraph, path) -> None:
     """Structured export: vertex table plus sparse upper-triangle edges.
 
-    Conductances at or below EDGE_EPS are treated as numerical zeros and
-    omitted; everything else round-trips bit for bit through repr.
+    Byte contract: the file is exactly ``json.dumps(d, indent=1) + "\\n"``
+    for ``d = {"scale": float(scale), "vertices": [{"id", "mu", "kappa"}
+    per vertex in id order], "edges": [{"i", "j", "c"} per exported edge]}``,
+    the edges being those of the edge list, in the same order.  Floats are
+    spelled by repr, so every written value round-trips bit for bit.  The
+    text is assembled column-wise because ``json.dumps`` with ``indent``
+    runs a pure-Python encoder per value.
     """
-    vertices = [
-        {
-            "id": i,
-            "mu": float(graph.vertex_weights[i]),
-            "kappa": float(graph.killing[i]),
-        }
-        for i in range(graph.n_vertices)
-    ]
-    edges = []
-    for i in range(graph.n_vertices):
-        for j in range(i, graph.n_vertices):
-            value = float(graph.conductances[i, j])
-            if value > EDGE_EPS:
-                edges.append({"i": i, "j": j, "c": value})
-    return {"scale": float(graph.scale), "vertices": vertices, "edges": edges}
+    i, j, c = _edge_columns(graph)
+    vertices = _json_list(
+        "vertices",
+        _JSON_VERTEX,
+        range(graph.n_vertices),
+        _json_spelled(graph.vertex_weights),
+        _json_spelled(graph.killing),
+    )
+    edges = _json_list("edges", _JSON_EDGE, i.tolist(), j.tolist(), _json_spelled(c))
+    scale = json.dumps(float(graph.scale))
+    Path(path).write_text(f'{{\n "scale": {scale},\n{vertices},\n{edges}\n}}\n')
 
 
 def _graph_from_tables(ids, mu, kappa, i, j, c, scale) -> WeightedGraph:
     """Validate parsed vertex and edge columns, then assemble the graph.
 
     ``ids``, ``mu``, ``kappa`` are per-vertex columns in file order; ``i``,
-    ``j`` and ``c`` are per-edge columns.  Every rejection is a ValueError
-    naming the offending field.
+    ``j`` and ``c`` are per-edge columns; ``scale`` is the value as parsed.
+    Every rejection is a ValueError naming the offending field.
     """
+    try:
+        scale = float(scale)
+    except (TypeError, ValueError):
+        raise ValueError(f"scale: {scale!r} is not a number") from None
     if not np.isfinite(scale):
         raise ValueError("scale: must be finite")
     ids = np.asarray(ids)
@@ -312,6 +346,13 @@ def _graph_from_tables(ids, mu, kappa, i, j, c, scale) -> WeightedGraph:
         if np.any((end < 0) | (end >= v)):
             raise ValueError(f"edge {name}: endpoints must lie in 0..{v - 1}")
         ends.append(end)
+    # Each unordered pair at most once: a repeat would silently overwrite
+    # an earlier conductance, or contradict it when listed reversed.
+    pairs = np.sort(np.minimum(*ends) * v + np.maximum(*ends))
+    repeated = pairs[1:][pairs[1:] == pairs[:-1]]
+    if repeated.size:
+        a, b = divmod(int(repeated[0]), v)
+        raise ValueError(f"edge i/j: pair ({a}, {b}) listed twice")
     c = np.asarray(c, dtype=float)
     if not np.all(np.isfinite(c)):
         raise ValueError("edge c: conductances must be finite")
@@ -327,24 +368,33 @@ def _graph_from_tables(ids, mu, kappa, i, j, c, scale) -> WeightedGraph:
     )
 
 
+def _json_columns(data: dict, key: str, table: str, fields) -> list[list]:
+    """The ``fields`` columns of the JSON list ``data[key]``.
+
+    A missing list, or an entry without one of the fields, is a
+    ValueError naming it.
+    """
+    entries = data.get(key)
+    if not isinstance(entries, list):
+        raise ValueError(f"{key}: expected a list")
+    columns = []
+    for field in fields:
+        try:
+            columns.append([entry[field] for entry in entries])
+        except (KeyError, TypeError):
+            bad = next(
+                n
+                for n, entry in enumerate(entries)
+                if not isinstance(entry, dict) or field not in entry
+            )
+            raise ValueError(f"{table} {field}: missing in entry {bad}") from None
+    return columns
+
+
 def graph_from_json_dict(data: dict) -> WeightedGraph:
-    vertices = data["vertices"]
-    edges = data["edges"]
-    return _graph_from_tables(
-        ids=[entry["id"] for entry in vertices],
-        mu=[entry["mu"] for entry in vertices],
-        kappa=[entry["kappa"] for entry in vertices],
-        i=[entry["i"] for entry in edges],
-        j=[entry["j"] for entry in edges],
-        c=[entry["c"] for entry in edges],
-        scale=float(data.get("scale", 1.0)),
-    )
-
-
-def write_graph_json(graph: WeightedGraph, path) -> None:
-    Path(path).write_text(
-        json.dumps(graph_to_json_dict(graph), indent=1) + "\n"
-    )
+    ids, mu, kappa = _json_columns(data, "vertices", "vertex", ("id", "mu", "kappa"))
+    i, j, c = _json_columns(data, "edges", "edge", ("i", "j", "c"))
+    return _graph_from_tables(ids, mu, kappa, i, j, c, scale=data.get("scale", 1.0))
 
 
 def read_graph_json(path) -> WeightedGraph:
@@ -355,48 +405,56 @@ def write_edge_list(graph: WeightedGraph, edges_path, vertices_path) -> None:
     """Plain-text export: `i j c_ij` rows and a `i mu_i kappa_i` table.
 
     The scale rides along as a comment header on both files so the pair
-    reconstructs the graph exactly.
+    reconstructs the graph exactly.  Byte contract: both files start with
+    ``f"# scale {scale:.17g}\\n"``; the edge file then has one
+    ``f"{i} {j} {c:.17g}\\n"`` row per exported edge, the same edges in the
+    same order as the JSON export, and the vertex file one
+    ``f"{i} {mu:.17g} {kappa:.17g}\\n"`` row per vertex in id order.  17
+    significant digits round-trip every finite double.
     """
     header = f"# scale {graph.scale:.17g}\n"
-    with open(edges_path, "w") as fh:
-        fh.write(header)
-        for i in range(graph.n_vertices):
-            for j in range(i, graph.n_vertices):
-                value = graph.conductances[i, j]
-                if value > EDGE_EPS:
-                    fh.write(f"{i} {j} {value:.17g}\n")
-    with open(vertices_path, "w") as fh:
-        fh.write(header)
-        for i in range(graph.n_vertices):
-            fh.write(
-                f"{i} {graph.vertex_weights[i]:.17g} {graph.killing[i]:.17g}\n"
-            )
+    i, j, c = _edge_columns(graph)
+    edge_rows = map("{} {} {:.17g}\n".format, i.tolist(), j.tolist(), c.tolist())
+    Path(edges_path).write_text(header + "".join(edge_rows))
+    vertex_rows = map(
+        "{} {:.17g} {:.17g}\n".format,
+        range(graph.n_vertices),
+        graph.vertex_weights.tolist(),
+        graph.killing.tolist(),
+    )
+    Path(vertices_path).write_text(header + "".join(vertex_rows))
+
+
+def _read_table(path, kind: str, types) -> tuple[str | float, list[list]]:
+    """Parse a three-column whitespace table and its ``# scale`` header.
+
+    Returns the scale as written (1.0 without a header) and the columns
+    converted by ``types``.  Blank lines and other comments are skipped.
+    A row with another number of fields, or a token its column cannot
+    convert, is a ValueError naming ``kind``.
+    """
+    scale = 1.0
+    tokens = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+        fields = line.split()
+        if not fields:
+            continue
+        if fields[0].startswith("#"):
+            parts = line.strip()[1:].split()
+            if len(parts) == 2 and parts[0] == "scale":
+                scale = parts[1]
+            continue
+        if len(fields) != 3:
+            raise ValueError(f"{kind} row {number}: expected 3 fields, found {len(fields)}")
+        tokens += fields
+    try:
+        columns = [list(map(convert, tokens[k::3])) for k, convert in enumerate(types)]
+    except ValueError as exc:
+        raise ValueError(f"{kind} row: {exc}") from None
+    return scale, columns
 
 
 def read_edge_list(edges_path, vertices_path) -> WeightedGraph:
-    def parse(path):
-        scale = 1.0
-        rows = []
-        for line in Path(path).read_text().splitlines():
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                parts = text[1:].split()
-                if len(parts) == 2 and parts[0] == "scale":
-                    scale = float(parts[1])
-                continue
-            rows.append(text.split())
-        return scale, rows
-
-    scale, vertex_rows = parse(vertices_path)
-    _, edge_rows = parse(edges_path)
-    return _graph_from_tables(
-        ids=[int(row[0]) for row in vertex_rows],
-        mu=[float(row[1]) for row in vertex_rows],
-        kappa=[float(row[2]) for row in vertex_rows],
-        i=[int(row[0]) for row in edge_rows],
-        j=[int(row[1]) for row in edge_rows],
-        c=[float(row[2]) for row in edge_rows],
-        scale=scale,
-    )
+    scale, (ids, mu, kappa) = _read_table(vertices_path, "vertex", (int, float, float))
+    _, (i, j, c) = _read_table(edges_path, "edge", (int, int, float))
+    return _graph_from_tables(ids, mu, kappa, i, j, c, scale)

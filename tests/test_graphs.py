@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mosco_graphs import (
     AmbientSpace,
@@ -28,7 +30,7 @@ from mosco_graphs import (
     write_edge_list,
     write_graph_json,
 )
-from mosco_graphs.graphs import graph_from_json_dict
+from mosco_graphs.graphs import EDGE_EPS, KILLING_TOL, graph_from_json_dict
 
 
 def two_site_kernel(p_matrix):
@@ -318,6 +320,104 @@ class TestExports:
             )
 
 
+def reference_json_text(graph):
+    """Reference JSON export: a dict per entry through json.dumps(indent=1)."""
+    vertices = [
+        {"id": i, "mu": float(graph.vertex_weights[i]), "kappa": float(graph.killing[i])}
+        for i in range(graph.n_vertices)
+    ]
+    edges = []
+    for i in range(graph.n_vertices):
+        for j in range(i, graph.n_vertices):
+            value = float(graph.conductances[i, j])
+            if value > EDGE_EPS:
+                edges.append({"i": i, "j": j, "c": value})
+    data = {"scale": float(graph.scale), "vertices": vertices, "edges": edges}
+    return json.dumps(data, indent=1) + "\n"
+
+
+def reference_edge_list_texts(graph):
+    """Reference edge and vertex files, written one vertex pair at a time."""
+    header = f"# scale {graph.scale:.17g}\n"
+    edges = [header]
+    for i in range(graph.n_vertices):
+        for j in range(i, graph.n_vertices):
+            value = graph.conductances[i, j]
+            if value > EDGE_EPS:
+                edges.append(f"{i} {j} {value:.17g}\n")
+    vertices = [header] + [
+        f"{i} {graph.vertex_weights[i]:.17g} {graph.killing[i]:.17g}\n"
+        for i in range(graph.n_vertices)
+    ]
+    return "".join(edges), "".join(vertices)
+
+
+TINY = 5e-324
+HUGE = 1.7976931348623157e308
+# Values next to the export threshold, signed zeros, subnormals and extremes.
+EDGE_VALUES = [
+    0.0, -0.0, TINY, 2.2250738585072014e-308, EDGE_EPS,
+    float(np.nextafter(EDGE_EPS, 0.0)), float(np.nextafter(EDGE_EPS, 1.0)), 1e300, HUGE,
+]
+KILLING_VALUES = [0.0, -0.0, -TINY, -1e-300, -1e-12, -KILLING_TOL, TINY, HUGE]
+
+
+def symmetric(upper, v):
+    c = np.zeros((v, v))
+    rows, cols = np.triu_indices(v)
+    c[rows, cols] = upper
+    c[cols, rows] = upper
+    return c
+
+
+@st.composite
+def export_graphs(draw):
+    v = draw(st.integers(1, 6))
+    conductance = st.one_of(
+        st.sampled_from(EDGE_VALUES), st.floats(0.0, 1e-13), st.floats(0.0, HUGE)
+    )
+    upper = draw(st.lists(conductance, min_size=v * (v + 1) // 2, max_size=v * (v + 1) // 2))
+    mu = draw(st.lists(st.floats(TINY, HUGE), min_size=v, max_size=v))
+    killing = st.one_of(st.sampled_from(KILLING_VALUES), st.floats(-KILLING_TOL, HUGE))
+    kappa = draw(st.lists(killing, min_size=v, max_size=v))
+    scale = draw(st.one_of(st.integers(1, 2**30), st.floats(TINY, 1e300)))
+    return WeightedGraph(mu, symmetric(upper, v), kappa, scale=scale)
+
+
+class TestExportBytes:
+    """The column-wise writers keep the bytes of the original writers and
+    read back bit for bit, conductances at or below EDGE_EPS zeroed."""
+
+    @staticmethod
+    def write_all(graph, directory):
+        paths = [directory / name for name in ("g.json", "g.edges.txt", "g.vertices.txt")]
+        write_graph_json(graph, paths[0])
+        write_edge_list(graph, paths[1], paths[2])
+        return paths
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=export_graphs())
+    @example(graph=WeightedGraph([1.0], [[0.0]], [0.0]))
+    @example(graph=WeightedGraph([1.0, 0.5], symmetric([EDGE_EPS] * 3, 2), [-0.0, -1e-12], 2))
+    @example(graph=WeightedGraph([TINY, 1e300], symmetric([TINY, 1e300, HUGE], 2), [0.0, 0.0]))
+    def test_writers_keep_reference_bytes(self, tmp_path_factory, graph):
+        paths = self.write_all(graph, tmp_path_factory.mktemp("export"))
+        expected = [reference_json_text(graph), *reference_edge_list_texts(graph)]
+        assert [path.read_text() for path in paths] == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=export_graphs())
+    @example(graph=WeightedGraph([1.0, 0.5], symmetric([EDGE_EPS] * 3, 2), [-0.0, -1e-12], 2))
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, graph):
+        json_path, edges, vertices = self.write_all(graph, tmp_path_factory.mktemp("export"))
+        kept = np.where(graph.conductances > EDGE_EPS, graph.conductances, 0.0)
+        for back in (read_graph_json(json_path), read_edge_list(edges, vertices)):
+            assert back.scale == graph.scale
+            assert back.vertex_weights.tobytes() == graph.vertex_weights.tobytes()
+            assert back.killing.tobytes() == graph.killing.tobytes()
+            assert back.conductances.tobytes() == kept.tobytes()
+
+
 class TestReaderValidation:
     """Both readers refuse malformed input and name the offending field."""
 
@@ -368,6 +468,12 @@ class TestReaderValidation:
             data["edges"][2]["c"] = float("inf")
         elif case == "nan-scale":
             data["scale"] = float("nan")
+        elif case == "word-scale":
+            data["scale"] = "abc"
+        elif case == "repeated-pair":
+            data["edges"].append({"i": 0, "j": 1, "c": 0.5})
+        elif case == "reversed-pair":
+            data["edges"].append({"i": 1, "j": 0, "c": 0.5})
         return data
 
     CASES = [
@@ -378,6 +484,9 @@ class TestReaderValidation:
         ("nan-c", "edge c"),
         ("inf-c", "edge c"),
         ("nan-scale", "scale"),
+        ("word-scale", "scale: .*abc.* is not a number"),
+        ("repeated-pair", r"edge i/j: pair \(0, 1\) listed twice"),
+        ("reversed-pair", r"edge i/j: pair \(0, 1\) listed twice"),
     ]
 
     def test_good_tables_read_the_same_both_ways(self, tmp_path):
@@ -428,4 +537,46 @@ class TestReaderValidation:
         data = self.good_dict()
         data["vertices"][0]["kappa"] = float("nan")
         with pytest.raises(ValueError, match="vertex kappa"):
+            graph_from_json_dict(data)
+
+    @pytest.mark.parametrize("table", ["vertices", "edges"])
+    @pytest.mark.parametrize("row", ["1 2", "1 2 0.5 7"])
+    def test_text_rows_need_three_fields(self, table, row, tmp_path):
+        edges, vertices = self.write_tables(tmp_path, self.good_dict())
+        path, kind = (vertices, "vertex") if table == "vertices" else (edges, "edge")
+        path.write_text(path.read_text() + row + "\n")
+        found = len(row.split())
+        with pytest.raises(ValueError, match=f"{kind} row 5: expected 3 fields, found {found}"):
+            read_edge_list(edges, vertices)
+
+    @pytest.mark.parametrize("table, row", [("vertices", "1.5 1 0"), ("edges", "0 x 0.5")])
+    def test_text_tokens_must_convert(self, table, row, tmp_path):
+        edges, vertices = self.write_tables(tmp_path, self.good_dict())
+        path, kind = (vertices, "vertex") if table == "vertices" else (edges, "edge")
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(ValueError, match=f"{kind} row: invalid literal"):
+            read_edge_list(edges, vertices)
+
+    @pytest.mark.parametrize(
+        "table, kind, field",
+        [
+            ("vertices", "vertex", "id"),
+            ("vertices", "vertex", "mu"),
+            ("vertices", "vertex", "kappa"),
+            ("edges", "edge", "i"),
+            ("edges", "edge", "j"),
+            ("edges", "edge", "c"),
+        ],
+    )
+    def test_json_entry_missing_a_field(self, table, kind, field):
+        data = self.good_dict()
+        del data[table][1][field]
+        with pytest.raises(ValueError, match=f"{kind} {field}: missing in entry 1"):
+            graph_from_json_dict(data)
+
+    @pytest.mark.parametrize("table", ["vertices", "edges"])
+    def test_json_tables_must_be_lists(self, table):
+        data = self.good_dict()
+        del data[table]
+        with pytest.raises(ValueError, match=f"{table}: expected a list"):
             graph_from_json_dict(data)
