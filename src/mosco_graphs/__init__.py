@@ -42,10 +42,7 @@ from .pipeline import (
     StageIndex,
     galerkin_projection,
     level_partition,
-    per_function_cell_count,
     semigroup_form,
-    sigma_truncate,
-    stage_form,
     stage_generator,
 )
 from .graphs import (
@@ -112,15 +109,12 @@ __all__ = [
     "monotonicity_audit",
     "mosco_limsup_check",
     "neumann_model",
-    "per_function_cell_count",
     "random_kernel_model",
     "read_edge_list",
     "read_graph_json",
     "resolvent_error",
     "ring_model",
     "semigroup_form",
-    "sigma_truncate",
-    "stage_form",
     "stage_generator",
     "stage_resolvent",
     "uniform_interval_space",

@@ -444,17 +444,26 @@ def audit_extraction_tower(
     return _result(f"extraction-tower[{model.name}]", worst, 1e-9)
 
 
-def audit_extraction_symmetry(kernels) -> AuditResult:
-    """Every suite kernel extracts; flux asymmetry anywhere is a failure."""
+def audit_extraction_symmetry(kernels, warped: np.ndarray | None = None) -> AuditResult:
+    """Every suite kernel extracts; flux asymmetry anywhere is a failure.
+
+    ``warped``, when given, is a kernel matrix audited in place of the
+    first kernel's, under that kernel's name with a ``-warped`` suffix.
+    No MarkovKernelModel accepts an asymmetric matrix, so it is passed
+    bare.
+    """
     worst = 0.0
     bad = []
-    for kernel in kernels:
+    for i, kernel in enumerate(kernels):
+        operator, name = kernel, kernel.name
+        if i == 0 and warped is not None:
+            operator, name = (lambda F: np.asarray(F) @ warped.T), f"{name}-warped"
         part = CellPartition.singletons(kernel.space)
         try:
-            extract_graph(kernel, part, kernel.space)
+            extract_graph(operator, part, kernel.space)
         except SymmetryError:
             worst = 1.0
-            bad.append(kernel.name)
+            bad.append(name)
     detail = f"asymmetric: {', '.join(bad)}" if bad else f"{len(kernels)} kernels"
     return _result("extraction-symmetry", worst, 0.0, detail)
 
@@ -462,8 +471,7 @@ def audit_extraction_symmetry(kernels) -> AuditResult:
 def audit_rejects_asymmetry(rng: np.random.Generator) -> AuditResult:
     """Negative control: a warped kernel must be refused, not averaged over."""
     kernel = random_kernel_model(10, rng, name="warped")
-    P = kernel.kernel.copy()
-    P[0, 1] += 0.05
+    P = _warped(kernel)
     part = CellPartition.singletons(kernel.space)
     try:
         extract_graph(lambda F: np.asarray(F) @ P.T, part, kernel.space)
@@ -573,8 +581,9 @@ def audit_suite(
 
     ``spectral_models`` and ``kernels`` are the models under audit;
     ``basis_for`` maps a spectral model to the basis its stages use.
-    ``inject_asymmetry`` corrupts one audit kernel in place of the
-    negative control, so the symmetry audit demonstrably fails.
+    ``inject_asymmetry`` warps the first kernel for the symmetry audit
+    (and leaves it out of identification), so that audit demonstrably
+    fails.
     """
     results: list[AuditResult] = []
     for kernel in kernels:
@@ -614,14 +623,9 @@ def audit_suite(
     results.append(audit_partition_refinement(lead_basis, ms, ks))
     results.append(audit_extraction_tower(lead, lead_basis, rng))
 
-    audit_kernels = list(kernels)
-    if inject_asymmetry:
-        victim = audit_kernels[0]
-        P = victim.kernel.copy()
-        P[0, 1] += 0.05
-        audit_kernels[0] = _corrupted(victim, P)
-    results.extend(audit_identification([k for k in audit_kernels if _is_clean(k)], rng))
-    results.append(audit_extraction_symmetry(audit_kernels))
+    warped = _warped(kernels[0]) if inject_asymmetry else None
+    results.extend(audit_identification(kernels[1:] if inject_asymmetry else kernels, rng))
+    results.append(audit_extraction_symmetry(kernels, warped))
     results.append(audit_rejects_asymmetry(rng))
 
     pairs = []
@@ -633,19 +637,8 @@ def audit_suite(
     return results
 
 
-def _is_clean(kernel) -> bool:
-    return isinstance(kernel, MarkovKernelModel)
-
-
-def _corrupted(victim: MarkovKernelModel, P: np.ndarray):
-    """A stand-in with a warped kernel that dodges construction checks."""
-
-    class _Corrupted:
-        name = victim.name + "-warped"
-        space = victim.space
-        kernel = P
-
-        def apply(self, f):
-            return np.asarray(f) @ P.T
-
-    return _Corrupted()
+def _warped(kernel: MarkovKernelModel) -> np.ndarray:
+    """A copy of the kernel matrix with one entry pushed off weighted symmetry."""
+    P = kernel.kernel.copy()
+    P[0, 1] += 0.05
+    return P

@@ -13,15 +13,13 @@ Three subcommands share one config surface:
 
 Outputs are deterministic for a fixed config and seed: records are
 sorted before writing, floats are printed with 17 significant digits,
-and timing capture is off unless asked for.  ``MOSCO_GRAPHS_THREADS``
-caps the sweep worker pool (0 or unset picks a size automatically).
+and timing capture is off unless asked for.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -53,21 +51,6 @@ EXIT_AUDIT_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 
 CSV_HEADER = "n,m,l,k,lambda,test_vector,resolvent_error,form_value,exact_form,wall_ms"
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("MOSCO_GRAPHS_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"MOSCO_GRAPHS_THREADS: expected a nonnegative integer, got {raw!r}"
-        )
-    if value < 0:
-        raise ConfigError("MOSCO_GRAPHS_THREADS: expected a nonnegative integer")
-    if value == 0:
-        return min(8, os.cpu_count() or 1)
-    return value
 
 
 def _load(args) -> ExperimentConfig:
@@ -190,14 +173,14 @@ def _run_audits(config: ExperimentConfig, inject_asymmetry: bool = False):
     zoo = builtin_models(config.resolution, config.modes, seed=config.seed)
     spectral = [m for m in zoo if isinstance(m, SpectralModel)]
     kernels = [m for m in zoo if isinstance(m, MarkovKernelModel)]
-
-    def basis_for(model):
-        if config.basis == "haar":
-            return OrthonormalBasis.haar(model.space, model.n_modes)
-        return model.basis
-
     rng = np.random.default_rng(config.seed)
-    return audit_suite(spectral, kernels, basis_for, rng, inject_asymmetry=inject_asymmetry)
+    return audit_suite(
+        spectral,
+        kernels,
+        lambda model: _build_basis(config, model),
+        rng,
+        inject_asymmetry=inject_asymmetry,
+    )
 
 
 def _audits_json(results) -> str:
@@ -219,6 +202,18 @@ def _audits_json(results) -> str:
     return json.dumps(payload, indent=1) + "\n"
 
 
+def _report(results, shown) -> int:
+    """Print the ``shown`` audit lines and the verdict; return the exit code."""
+    for r in shown:
+        print(r.line())
+    failed = sum(not r.passed for r in results)
+    if failed:
+        print(f"{failed} audit(s) failed")
+        return EXIT_AUDIT_FAILURE
+    print(f"all {len(results)} audits passed")
+    return EXIT_OK
+
+
 def cmd_run(args) -> int:
     config = _load(args)
     model = _build_model(config)
@@ -233,7 +228,6 @@ def cmd_run(args) -> int:
         config.sweep_grid(),
         battery,
         lambdas=config.lambdas,
-        max_workers=_worker_count(),
         record_timings=config.record_timings,
     )
     csv_path = out / "convergence.csv"
@@ -247,27 +241,13 @@ def cmd_run(args) -> int:
     audits_path = out / "audits.json"
     audits_path.write_text(_audits_json(results))
     print(f"wrote {audits_path}")
-    failed = [r for r in results if not r.passed]
-    for r in failed:
-        print(r.line())
-    if failed:
-        print(f"{len(failed)} audit(s) failed")
-        return EXIT_AUDIT_FAILURE
-    print(f"all {len(results)} audits passed")
-    return EXIT_OK
+    return _report(results, [r for r in results if not r.passed])
 
 
 def cmd_verify(args) -> int:
     config = _load(args)
     results = _run_audits(config, inject_asymmetry=args.inject_asymmetry)
-    for r in results:
-        print(r.line())
-    failed = [r for r in results if not r.passed]
-    if failed:
-        print(f"{len(failed)} audit(s) failed")
-        return EXIT_AUDIT_FAILURE
-    print(f"all {len(results)} audits passed")
-    return EXIT_OK
+    return _report(results, results)
 
 
 def cmd_export_graph(args) -> int:

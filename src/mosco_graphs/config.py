@@ -34,10 +34,6 @@ class TestVectorSpec:
     n_step: int = 2
     include_constant: bool = True
 
-    @property
-    def count(self) -> int:
-        return self.n_basis + self.n_span + self.n_step + int(self.include_constant)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:

@@ -16,7 +16,6 @@ and are therefore blind to mass outside the spectral span (it cancels).
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,15 +53,12 @@ class ResolventProbe:
 
     lam: float
     test_vectors: tuple[TestVector, ...]
-    norm_kind: str = "weighted-l2"
 
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError(f"lambda must be positive, got {self.lam}")
         if not self.test_vectors:
             raise ValueError("probe needs at least one test vector")
-        if self.norm_kind != "weighted-l2":
-            raise ValueError("only the weighted-L2 norm is supported")
         object.__setattr__(self, "test_vectors", tuple(self.test_vectors))
 
 
@@ -190,9 +186,9 @@ def _records_for_index(
     stack = np.stack([vec.values for vec in battery])
     forms = np.atleast_1d(stage.form(stack))
     exacts = np.atleast_1d(model.exact_form(stack))
+    coeffs = sf.coefficients(stack)
     per_lambda = {}
     for lam in lambdas:
-        coeffs = sf.coefficients(stack)
         solved = _solve_on_subspace(sf, lam, coeffs.T).T
         _check_residual(sf, lam, solved, coeffs, stack)
         approx = solved @ sf.subspace + (stack - coeffs @ sf.subspace) / lam
@@ -222,32 +218,14 @@ def iterated_limit_sweep(
     schedule: SweepGrid,
     battery: Sequence[TestVector],
     lambdas: Sequence[float] = (1.0,),
-    max_workers: int = 1,
     record_timings: bool = False,
 ) -> list[ConvergenceRecord]:
-    """Evaluate every grid point; records come back in grid order.
-
-    Workers only parallelize independent stage evaluations; the output
-    order (and with timings off, the output bytes) is identical for any
-    worker count.
-    """
-    indices = schedule.indices()
-    if max_workers <= 1:
-        chunks = [
-            _records_for_index(model, basis, ix, battery, lambdas, record_timings)
-            for ix in indices
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            chunks = list(
-                pool.map(
-                    lambda ix: _records_for_index(
-                        model, basis, ix, battery, lambdas, record_timings
-                    ),
-                    indices,
-                )
-            )
-    return [record for chunk in chunks for record in chunk]
+    """Evaluate every grid point; records come back in grid order."""
+    return [
+        record
+        for ix in schedule.indices()
+        for record in _records_for_index(model, basis, ix, battery, lambdas, record_timings)
+    ]
 
 
 def eventually_nonincreasing(

@@ -63,6 +63,12 @@ class WeightedGraph:
         mu = np.array(self.vertex_weights, dtype=float, copy=True)
         c = np.array(self.conductances, dtype=float, copy=True)
         kappa = np.array(self.killing, dtype=float, copy=True)
+        # NaN slips through every comparison below, so finiteness comes first.
+        for name, arr in (("vertex_weights", mu), ("conductances", c), ("killing", kappa)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
+        if not (np.isfinite(self.scale) and self.scale > 0):
+            raise ValueError("scale must be finite and positive")
         v = mu.size
         if mu.ndim != 1 or np.any(mu <= 0):
             raise ValueError("vertex weights must be positive")
@@ -74,8 +80,6 @@ class WeightedGraph:
             raise SymmetryError("conductances must form a symmetric matrix")
         if np.min(c) < 0:
             raise ValueError(f"negative conductance {np.min(c):.3e}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
         if np.min(kappa) < -KILLING_TOL * max(1.0, self.scale):
             raise ValueError(f"killing weight {np.min(kappa):.3e} below tolerance")
         for arr in (mu, c, kappa):

@@ -142,11 +142,15 @@ def uniform_interval_space(resolution: int, n_levels: int = 4) -> AmbientSpace:
         raise ValueError("resolution must be positive")
     points = (np.arange(resolution) + 0.5) / resolution
     weights = np.full(resolution, 1.0 / resolution)
-    exhaustion = tuple(
-        np.arange(int(np.ceil(resolution * l / n_levels)))
-        for l in range(1, n_levels + 1)
+    return AmbientSpace(points, weights, exhaustion_slabs(resolution, n_levels))
+
+
+def exhaustion_slabs(size: int, levels: int = 4) -> tuple[np.ndarray, ...]:
+    """Left-to-right exhaustion of sites 0..size-1 in ``levels`` equal
+    slabs: X_l holds the first ceil(size * l / levels) sites."""
+    return tuple(
+        np.arange(int(np.ceil(size * l / levels))) for l in range(1, levels + 1)
     )
-    return AmbientSpace(points, weights, exhaustion)
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +270,6 @@ class CellPartition:
     @property
     def n_cells(self) -> int:
         return self.masses.size
-
-    @property
-    def point_to_cell(self) -> np.ndarray:
-        """Site index -> cell index, with -1 off the support."""
-        return self.cell_of
 
     @cached_property
     def support(self) -> np.ndarray:

@@ -31,6 +31,7 @@ from .measure import (
     AmbientSpace,
     OrthonormalBasis,
     TOL_ORTHO,
+    exhaustion_slabs,
     uniform_interval_space,
 )
 
@@ -92,6 +93,13 @@ class SpectralModel:
 
     def span_project(self, f: np.ndarray) -> np.ndarray:
         return self.basis.synthesize(self.coefficients(f))
+
+    def decay(self, t: float) -> np.ndarray:
+        """Per-mode 1 - exp(-lambda t), via expm1 so it stays accurate for
+        small t; 1 on infinite eigenvalues."""
+        with np.errstate(invalid="ignore"):
+            out = -np.expm1(-self.eigenvalues * t)
+        return np.where(np.isfinite(self.eigenvalues), out, 1.0)
 
     def apply_semigroup(self, t: float, f: np.ndarray) -> np.ndarray:
         """P_t f by coefficient damping; batched over leading axes.
@@ -215,10 +223,8 @@ class MarkovKernelModel:
         lam = np.maximum(lam, 0.0)
         vectors = (psi / root[:, None]).T
         # Fix the sign ambiguity so repeated runs agree bit for bit.
-        for row in vectors:
-            lead = row[np.argmax(np.abs(row))]
-            if lead < 0:
-                row *= -1.0
+        lead = vectors[np.arange(self.size), np.argmax(np.abs(vectors), axis=1)]
+        vectors[lead < 0] *= -1.0
         keep = self.size if modes is None else modes
         if not 1 <= keep <= self.size:
             raise ValueError(f"modes must be in 1..{self.size}, got {keep}")
@@ -267,10 +273,7 @@ def ring_model(resolution: int = 1024, modes: int = 64) -> SpectralModel:
         raise ValueError("need modes >= 1 and resolution >= 2 * modes")
     points = np.arange(resolution) / resolution
     weights = np.full(resolution, 1.0 / resolution)
-    exhaustion = tuple(
-        np.arange(int(np.ceil(resolution * l / 4))) for l in range(1, 5)
-    )
-    space = AmbientSpace(points, weights, exhaustion)
+    space = AmbientSpace(points, weights, exhaustion_slabs(resolution))
     eigenvalues = np.empty(modes)
     vectors = np.empty((modes, resolution))
     eigenvalues[0] = 0.0
@@ -294,10 +297,7 @@ def birth_death_kernel(sites: int = 64) -> MarkovKernelModel:
         raise ValueError("need at least two sites")
     points = np.arange(sites, dtype=float)
     weights = np.full(sites, 1.0 / sites)
-    exhaustion = tuple(
-        np.arange(int(np.ceil(sites * l / 4))) for l in range(1, 5)
-    )
-    space = AmbientSpace(points, weights, exhaustion)
+    space = AmbientSpace(points, weights, exhaustion_slabs(sites))
     P = np.zeros((sites, sites))
     idx = np.arange(sites - 1)
     P[idx, idx + 1] = 0.5
@@ -338,11 +338,7 @@ def random_kernel_model(
     if conservative:
         P = P + np.diag(1.0 - P.sum(axis=1))
     points = np.arange(sites, dtype=float)
-    levels = min(4, sites)
-    exhaustion = tuple(
-        np.arange(int(np.ceil(sites * l / levels))) for l in range(1, levels + 1)
-    )
-    space = AmbientSpace(points, w, exhaustion)
+    space = AmbientSpace(points, w, exhaustion_slabs(sites, min(4, sites)))
     return MarkovKernelModel(
         name=name or ("random_conservative" if conservative else "random_killed"),
         space=space,

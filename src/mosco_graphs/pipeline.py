@@ -119,11 +119,8 @@ def semigroup_form(model: SpectralModel, n: int, f: np.ndarray):
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    t = 2.0 ** (-n)
     c = model.coefficients(f)
-    with np.errstate(invalid="ignore"):
-        decay = -np.expm1(-model.eigenvalues * t)
-    decay = np.where(np.isfinite(model.eigenvalues), decay, 1.0)
+    decay = model.decay(2.0 ** (-n))
     residual = np.asarray(f, dtype=float) - model.basis.synthesize(c)
     off_span = model.space.inner(residual, residual)
     out = 2.0**n * ((decay * c**2).sum(axis=-1) + off_span)
@@ -137,22 +134,6 @@ def galerkin_projection(basis: OrthonormalBasis, m: int, f: np.ndarray) -> np.nd
             f"m must be in 1..{basis.n_vectors}, got {m}"
         )
     return basis.synthesize(basis.coefficients(f, m))
-
-
-def sigma_truncate(space: AmbientSpace, l: int, f: np.ndarray) -> np.ndarray:
-    """Pointwise mask by the exhaustion set X_l; batched."""
-    f = np.asarray(f, dtype=float)
-    if f.shape[-1] != space.size:
-        raise DimensionMismatch(f"expected last axis {space.size}, got {f.shape[-1]}")
-    return f * space.exhaustion_mask(l)
-
-
-def per_function_cell_count(k: int) -> int:
-    """Size of one function's dyadic cell system before intersecting:
-    2 * 4**k value windows plus the two overflow cells."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return 2 * 4**k + 2
 
 
 def level_partition(basis: OrthonormalBasis, m: int, k: int) -> CellPartition:
@@ -288,12 +269,7 @@ class Stage:
         self.subspace = subspace
         self.images = images
 
-        t = index.time
-        with np.errstate(invalid="ignore"):
-            decay = -np.expm1(-model.eigenvalues * t)
-        decay = np.where(np.isfinite(model.eigenvalues), decay, 1.0)
-        self._decay = decay
-
+        decay = model.decay(index.time)
         if index.m is None:
             matrix = np.diag(-index.bound * decay)
         else:
@@ -340,13 +316,6 @@ class Stage:
 
     def generator(self) -> StageForm:
         return self.form_data
-
-
-def stage_form(
-    model: SpectralModel, basis: OrthonormalBasis, index: StageIndex, f: np.ndarray
-):
-    """Energy of f under the stage at ``index``; see Stage for the stages."""
-    return Stage(model, basis, index).form(f)
 
 
 def stage_generator(

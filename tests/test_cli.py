@@ -114,17 +114,6 @@ class TestRunCommand:
         for name in ("convergence.csv", "audits.json"):
             assert (second / name).read_bytes() == (out / name).read_bytes()
 
-    def test_worker_env_cannot_change_the_numbers(
-        self, run_artifacts, tmp_path, monkeypatch
-    ):
-        cfg_path, out = run_artifacts
-        monkeypatch.setenv("MOSCO_GRAPHS_THREADS", "4")
-        threaded = tmp_path / "threaded"
-        assert cli.main(["run", "--config", str(cfg_path), "--out", str(threaded)]) == 0
-        assert (threaded / "convergence.csv").read_bytes() == (
-            out / "convergence.csv"
-        ).read_bytes()
-
     def test_seed_override_changes_the_battery(self, run_artifacts, tmp_path):
         cfg_path, out = run_artifacts
         reseeded = tmp_path / "reseeded"
@@ -137,17 +126,6 @@ class TestRunCommand:
         assert (reseeded / "convergence.csv").read_bytes() != (
             out / "convergence.csv"
         ).read_bytes()
-
-    def test_garbage_worker_env_is_refused(
-        self, run_artifacts, tmp_path, monkeypatch, capsys
-    ):
-        cfg_path, _ = run_artifacts
-        monkeypatch.setenv("MOSCO_GRAPHS_THREADS", "banana")
-        code = cli.main(
-            ["run", "--config", str(cfg_path), "--out", str(tmp_path / "x")]
-        )
-        assert code == 2
-        assert "MOSCO_GRAPHS_THREADS" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

@@ -1,7 +1,10 @@
 """Output bytes of a small run against hashes stored before the partition rewrite.
 
-The hashes were recorded once from the code as it stood before cell
-partitions became site -> cell label vectors.  They pin the exact bytes
+The artifact hashes were recorded once from the code as it stood before
+cell partitions became site -> cell label vectors.  The ``verify``
+stdout hashes were recorded from the code as it stood before the sweep
+lost its worker pool and the audit suite its stand-in for the warped
+kernel, before any source edit of that change.  They pin the exact bytes
 of the artifacts, so any change that moves a single float in the sweep,
 the graph export, the edge lists or the audit battery fails here.  Never
 regenerate them to make a change pass: a change that is meant to alter
@@ -9,6 +12,7 @@ the numbers must say so and be judged on its own.
 """
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -49,3 +53,26 @@ def test_artifact_bytes_match_stored_hashes(tmp_path, command, expected):
     assert written == sorted(expected)
     for name, digest in expected.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+VERIFY_SHA256 = {
+    (): "62f1851f26d762e8e60802210958752ce074d65718045b8e0dce27fea86ee344",
+    ("--inject-asymmetry",): "30a00278fa859682bc0de977dc6b03a62fc3d2288b80827d284d4ab492590386",
+}
+
+INJECTED_FAIL = (
+    "[FAIL] extraction-symmetry: residual 1.000e+00 (tol 0.0e+00) -- "
+    "asymmetric: random_conservative-warped"
+)
+
+
+@pytest.mark.parametrize("flags", sorted(VERIFY_SHA256))
+def test_verify_stdout_matches_stored_hashes(tmp_path, capsys, flags):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    code = cli.main(["verify", "--config", str(config), *flags])
+    out = capsys.readouterr().out
+    assert code == (1 if flags else 0)
+    fails = re.findall(r"^\[FAIL\].*$", out, flags=re.M)
+    assert fails == ([INJECTED_FAIL] if flags else [])
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[flags]

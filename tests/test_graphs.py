@@ -115,6 +115,24 @@ class TestGraphValidation:
         with pytest.raises(DimensionMismatch):
             WeightedGraph(vertex_weights=mu, conductances=np.zeros((3, 3)), killing=kappa)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["vertex_weights", "conductances", "killing", "scale"])
+    def test_non_finite_values_are_refused(self, field, bad):
+        data = {
+            "vertex_weights": np.array([1.0, 2.0]),
+            "conductances": np.array([[0.0, 0.3], [0.3, 0.0]]),
+            "killing": np.zeros(2),
+            "scale": 1.0,
+        }
+        if field == "scale":
+            data["scale"] = bad
+        elif field == "conductances":
+            data["conductances"] = np.array([[0.0, bad], [bad, 0.0]])
+        else:
+            data[field][1] = bad
+        with pytest.raises(ValueError, match=field):
+            WeightedGraph(**data)
+
     def test_energy_input_forms(self):
         kernel = two_site_kernel([[0.5, 0.5], [0.5, 0.5]])
         part = CellPartition.singletons(kernel.space)
@@ -265,7 +283,7 @@ class TestFinalStageGraphs:
         g_coarse = extract_graph(apply, coarse, model.space)
         g_fine = extract_graph(apply, fine, model.space)
         owner = np.array(
-            [coarse.point_to_cell[cell[0]] for cell in fine.cells]
+            [coarse.cell_of[cell[0]] for cell in fine.cells]
         )
         rng = np.random.default_rng(51)
         for _ in range(20):

@@ -195,6 +195,19 @@ class TestKernelModels:
         got = model.apply_semigroup(t, f)
         assert np.max(np.abs(got - expected @ f)) <= 1e-10
 
+    def test_sign_fix_matches_the_row_loop(self):
+        # The per-row loop the vectorised sign fix replaced, kept as reference.
+        rng = np.random.default_rng(15)
+        for kernel in (birth_death_kernel(sites=16), random_kernel_model(12, rng)):
+            root = np.sqrt(kernel.space.weights)
+            sym = root[:, None] * (np.eye(kernel.size) - kernel.kernel) / root[None, :]
+            _, psi = np.linalg.eigh((sym + sym.T) / 2.0)
+            expected = (psi / root[:, None]).T.copy()
+            for row in expected:
+                if row[np.argmax(np.abs(row))] < 0:
+                    row *= -1.0
+            assert np.array_equal(kernel.to_spectral().basis.vectors, expected)
+
     def test_conversion_mode_cap(self):
         kernel = birth_death_kernel(sites=8)
         model = kernel.to_spectral(modes=3)

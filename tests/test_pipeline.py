@@ -16,10 +16,7 @@ from mosco_graphs import (
     galerkin_projection,
     level_partition,
     neumann_model,
-    per_function_cell_count,
     semigroup_form,
-    sigma_truncate,
-    stage_form,
     stage_generator,
     uniform_interval_space,
 )
@@ -119,17 +116,19 @@ class TestGalerkinProjection:
 
 
 class TestSigmaTruncation:
+    """The exhaustion mask the l-stage multiplies its images by."""
+
     def test_top_level_is_identity(self):
         space = uniform_interval_space(64)
         rng = np.random.default_rng(27)
         f = rng.standard_normal(64)
-        assert np.array_equal(sigma_truncate(space, space.l_max, f), f)
+        assert np.array_equal(f * space.exhaustion_mask(space.l_max), f)
 
     def test_outside_support_vanishes(self):
         space = uniform_interval_space(64)
         f = np.zeros(64)
         f[40:] = 3.0  # X_2 is the first half of the grid
-        assert np.max(np.abs(sigma_truncate(space, 2, f))) == 0.0
+        assert np.max(np.abs(f * space.exhaustion_mask(2))) == 0.0
 
     def test_masked_norm_grows_with_the_level(self):
         space = uniform_interval_space(128)
@@ -137,7 +136,7 @@ class TestSigmaTruncation:
         for _ in range(5):
             f = rng.standard_normal(128)
             norms = [
-                float(space.norm(sigma_truncate(space, l, f)))
+                float(space.norm(f * space.exhaustion_mask(l)))
                 for l in range(1, space.l_max + 1)
             ]
             assert all(b >= a - 1e-14 for a, b in zip(norms, norms[1:]))
@@ -145,15 +144,10 @@ class TestSigmaTruncation:
     def test_level_out_of_range(self):
         space = uniform_interval_space(16)
         with pytest.raises(ValueError):
-            sigma_truncate(space, 5, np.ones(16))
+            space.exhaustion_mask(5)
 
 
 class TestLevelPartition:
-    def test_per_function_cell_budget(self):
-        assert per_function_cell_count(1) == 10
-        assert per_function_cell_count(0) == 4
-        assert per_function_cell_count(3) == 130
-
     def test_constant_function_lands_in_one_cell(self):
         model = neumann_model(64, 4)
         part = level_partition(model.basis, 1, 1)
@@ -180,8 +174,8 @@ class TestLevelPartition:
         assert label_of[3] == 0
         assert label_of[4] == 3
         tails = part.tail_mask
-        assert tails[part.point_to_cell[0]]
-        assert not tails[part.point_to_cell[4]]
+        assert tails[part.cell_of[0]]
+        assert not tails[part.cell_of[4]]
 
     def test_boundary_values_share_the_inclusive_upper_edge(self):
         values = np.array([0.0, 0.5, -2.0, 0.25])
@@ -189,7 +183,7 @@ class TestLevelPartition:
         space = AmbientSpace(np.arange(4.0), weights, (np.arange(4),))
         basis = OrthonormalBasis(space, values[None, :])
         part = level_partition(basis, 1, 1)
-        cell_of = part.point_to_cell
+        cell_of = part.cell_of
         # 1/2 is the top edge of (0, 1/2] and 1/4 is interior to it.
         assert cell_of[1] == cell_of[3]
         assert cell_of[0] != cell_of[1]
@@ -230,7 +224,7 @@ class TestStageForms:
         rng = np.random.default_rng(31)
         f = rng.standard_normal(256)
         for m in (2, 7):
-            via_stage = stage_form(model, model.basis, StageIndex(5, m), f)
+            via_stage = Stage(model, model.basis, StageIndex(5, m)).form(f)
             direct = semigroup_form(
                 model, 5, galerkin_projection(model.basis, m, f)
             )
@@ -239,14 +233,12 @@ class TestStageForms:
     def test_vanishes_off_the_galerkin_block(self):
         model = neumann_model(256, 16)
         f = model.basis.vectors[9]
-        assert stage_form(model, model.basis, StageIndex(4, 6), f) <= 1e-13
+        assert Stage(model, model.basis, StageIndex(4, 6)).form(f) <= 1e-13
 
     def test_deep_index_recovers_the_bare_form(self):
         model = neumann_model(512, 16)
         f = model.basis.vectors[1]
-        deep = stage_form(
-            model, model.basis, StageIndex(6, 16, model.space.l_max, 8), f
-        )
+        deep = Stage(model, model.basis, StageIndex(6, 16, model.space.l_max, 8)).form(f)
         bare = semigroup_form(model, 6, f)
         assert deep == pytest.approx(bare, rel=1e-3)
 
@@ -257,8 +249,8 @@ class TestStageForms:
         model = neumann_model(256, 16)
         rng = np.random.default_rng(33)
         f = rng.standard_normal(256)
-        masked = stage_form(model, model.basis, StageIndex(4, 8, model.space.l_max), f)
-        unmasked = stage_form(model, model.basis, StageIndex(4, 8), f)
+        masked = Stage(model, model.basis, StageIndex(4, 8, model.space.l_max)).form(f)
+        unmasked = Stage(model, model.basis, StageIndex(4, 8)).form(f)
         assert masked == pytest.approx(unmasked, rel=1e-12)
 
     def test_masked_stage_projections_live_on_the_slab(self):
@@ -277,7 +269,7 @@ class TestStageForms:
         fs = rng.standard_normal((50, 256))
         caps = 2.0**4 * model.space.norm(fs) ** 2
         for ix in (StageIndex(4), StageIndex(4, 8), StageIndex(4, 8, 2), StageIndex(4, 8, 2, 3)):
-            values = np.atleast_1d(stage_form(model, model.basis, ix, fs))
+            values = np.atleast_1d(Stage(model, model.basis, ix).form(fs))
             assert np.min(values) >= -1e-12
             assert np.all(values <= caps * (1.0 + 1e-12) + 1e-12)
 
