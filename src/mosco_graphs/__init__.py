@@ -65,7 +65,6 @@ from .convergence import (
     eventually_nonincreasing,
     iterated_limit_sweep,
     monotonicity_audit,
-    mosco_limsup_check,
     resolvent_error,
     stage_resolvent,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "level_partition",
     "load_spectral_table",
     "monotonicity_audit",
-    "mosco_limsup_check",
     "neumann_model",
     "random_kernel_model",
     "read_edge_list",

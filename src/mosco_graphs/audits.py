@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convergence import (
-    ResolventProbe,
-    TestVector,
-    monotonicity_audit,
-    resolvent_error,
-    stage_resolvent,
-)
+from .convergence import monotonicity_audit, stage_resolvent
 from .errors import SymmetryError
 from .graphs import extract_graph, graph_energy, verify_identification
 from .measure import CellPartition, OrthonormalBasis, condition_on_partition
@@ -38,7 +32,6 @@ from .pipeline import (
     galerkin_projection,
     level_partition,
     semigroup_form,
-    stage_generator,
 )
 
 # e^-x below 1e-12; times shorter than DECAY_DEPTH / lambda_top leave
@@ -314,24 +307,22 @@ def audit_projection_composition(
 
 def audit_stage_bounds(
     model: SpectralModel,
-    basis: OrthonormalBasis,
+    stages: list[Stage],
     rng: np.random.Generator,
-    indices,
     n_trials: int = 15,
 ) -> AuditResult:
-    """0 <= stage form <= 2^n ||f||^2 across the supplied indices.
+    """0 <= stage form <= 2^n ||f||^2 across the supplied stages.
 
     The residual is relative to the cap so one tolerance covers every
     dyadic level.
     """
     space = model.space
     worst = 0.0
-    for index in indices:
-        st = Stage(model, basis, index)
+    for stage in stages:
         for _ in range(n_trials):
             f = rng.standard_normal(space.size)
-            value = st.form(f)
-            cap = index.bound * space.inner(f, f)
+            value = stage.form(f)
+            cap = stage.index.bound * space.inner(f, f)
             worst = max(worst, max(-value, value - cap) / cap)
     return _result(f"stage-bounds[{model.name}]", max(0.0, worst), 1e-12)
 
@@ -485,16 +476,13 @@ def audit_rejects_asymmetry(rng: np.random.Generator) -> AuditResult:
 
 
 def audit_resolvent_contraction(
-    model: SpectralModel,
-    basis: OrthonormalBasis,
-    indices,
-    rng: np.random.Generator,
+    model: SpectralModel, stages: list[Stage], rng: np.random.Generator
 ) -> AuditResult:
     """lambda * G_lambda is a contraction for stages and the model alike."""
     space = model.space
     worst = 0.0
-    for index in indices:
-        sf = stage_generator(model, basis, index)
+    for stage in stages:
+        sf = stage.form_data
         for _ in range(10):
             f = rng.standard_normal(space.size)
             nf = space.norm(f)
@@ -507,16 +495,13 @@ def audit_resolvent_contraction(
 
 
 def audit_resolvent_identity(
-    model: SpectralModel,
-    basis: OrthonormalBasis,
-    indices,
-    rng: np.random.Generator,
+    model: SpectralModel, stages: list[Stage], rng: np.random.Generator
 ) -> AuditResult:
     """G_a - G_b = (b - a) G_a G_b on random vectors, a, b in {1, 2}."""
     space = model.space
     worst = 0.0
-    for index in indices:
-        sf = stage_generator(model, basis, index)
+    for stage in stages:
+        sf = stage.form_data
         for _ in range(10):
             f = rng.standard_normal(space.size)
             ga = stage_resolvent(sf, 1.0, f)
@@ -526,29 +511,8 @@ def audit_resolvent_identity(
     return _result(f"resolvent-identity[{model.name}]", worst, 1e-9)
 
 
-def audit_lambda_robustness(
-    model: SpectralModel,
-    basis: OrthonormalBasis,
-    index: StageIndex,
-    battery: list[TestVector],
-) -> AuditResult:
-    """Convergence verdicts agree between lambda = 1 and lambda = 2.
-
-    Asserted as: the lambda=2 terminal error never exceeds twice the
-    lambda=1 terminal error (plus float floor) for any test vector.
-    """
-    sf = stage_generator(model, basis, index)
-    e1 = resolvent_error(model, sf, ResolventProbe(1.0, battery))
-    e2 = resolvent_error(model, sf, ResolventProbe(2.0, battery))
-    worst = max(e2[name] - 2.0 * e1[name] for name in e1)
-    return _result(f"lambda-robustness[{model.name}]", max(0.0, worst), 1e-12)
-
-
 def audit_form_generator_consistency(
-    model: SpectralModel,
-    basis: OrthonormalBasis,
-    indices,
-    rng: np.random.Generator,
+    model: SpectralModel, stages: list[Stage], rng: np.random.Generator
 ) -> AuditResult:
     """<-L f, f> recomputes the stage form for f in the stage subspace.
 
@@ -556,9 +520,8 @@ def audit_form_generator_consistency(
     dyadic form is not, so probes are drawn inside the recorded span.
     """
     worst = 0.0
-    for index in indices:
-        sf = stage_generator(model, basis, index)
-        stage = Stage(model, basis, index)
+    for stage in stages:
+        sf = stage.form_data
         for _ in range(10):
             coeffs = rng.standard_normal(sf.subspace.shape[0])
             f = coeffs @ sf.subspace
@@ -609,10 +572,14 @@ def audit_suite(
         results.extend(audit_energy_exhaustion(model, rng))
         results.extend(audit_conditioning(model, basis, rng))
         results.append(audit_projection_composition(model, basis, rng))
-        results.append(audit_stage_bounds(model, basis, rng, full_indices))
-        results.append(audit_resolvent_contraction(model, basis, full_indices, rng))
-        results.append(audit_resolvent_identity(model, basis, full_indices, rng))
-        results.append(audit_form_generator_consistency(model, basis, full_indices, rng))
+        # Building a stage draws nothing from rng, so one build serves the
+        # four stage audits; the stages are dropped before the next model.
+        stages = [Stage(model, basis, index) for index in full_indices]
+        results.append(audit_stage_bounds(model, stages, rng))
+        results.append(audit_resolvent_contraction(model, stages, rng))
+        results.append(audit_resolvent_identity(model, stages, rng))
+        results.append(audit_form_generator_consistency(model, stages, rng))
+        del stages
 
     lead = spectral_models[0]
     lead_basis = basis_for(lead)

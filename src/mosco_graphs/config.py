@@ -9,12 +9,13 @@ that dies half an hour in with a bare KeyError helps nobody.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .convergence import SweepGrid
 from .errors import ConfigError
-from .pipeline import StageIndex
+from .pipeline import N_MAX, StageIndex
 
 SCHEMA_VERSION = 1
 
@@ -109,14 +110,14 @@ def _as_str(value, path: str) -> str:
     return value
 
 
-def _int_axis(value, path: str, low: int, strictly_increasing: bool = True) -> tuple:
+def _int_axis(value, path: str, low: int, high: int | None = None) -> tuple:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a nonempty list of integers")
     out = []
     for i, item in enumerate(value):
-        out.append(_as_int(item, f"{path}[{i}]", low=low))
+        out.append(_as_int(item, f"{path}[{i}]", low=low, high=high))
     for i in range(1, len(out)):
-        if strictly_increasing and out[i] <= out[i - 1]:
+        if out[i] <= out[i - 1]:
             raise ConfigError(f"{path}: values must be strictly increasing")
     return tuple(out)
 
@@ -128,8 +129,13 @@ def _lambda_axis(value, path: str) -> tuple:
     for i, item in enumerate(value):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ConfigError(f"{path}[{i}]: expected a number, got {item!r}")
+        # json reads NaN and Infinity; NaN fails every comparison.
+        if not abs(item) <= sys.float_info.max:
+            raise ConfigError(f"{path}[{i}]: resolvent parameter must be a finite float")
         if item <= 0:
             raise ConfigError(f"{path}[{i}]: resolvent parameter must be positive")
+        if float(item) in out:
+            raise ConfigError(f"{path}[{i}]: {item!r} repeats an earlier resolvent parameter")
         out.append(float(item))
     return tuple(out)
 
@@ -142,7 +148,7 @@ def _export_axis(value, path: str) -> tuple:
         here = f"{path}[{i}]"
         if not isinstance(item, list) or len(item) != 4:
             raise ConfigError(f"{here}: expected a quadruple [n, m, l, k]")
-        n = _as_int(item[0], f"{here}[0]", low=0)
+        n = _as_int(item[0], f"{here}[0]", low=0, high=N_MAX)
         m = _as_int(item[1], f"{here}[1]", low=1)
         l = _as_int(item[2], f"{here}[2]", low=1)
         k = _as_int(item[3], f"{here}[3]", low=0)
@@ -205,7 +211,7 @@ def config_from_dict(data) -> ExperimentConfig:
         for key in grid:
             if key not in ("n", "m", "l", "k"):
                 raise ConfigError(f"grid.{key}: unknown axis (known: n, m, l, k)")
-        grid_n = _int_axis(_get(grid, "n", "grid.n"), "grid.n", low=0)
+        grid_n = _int_axis(_get(grid, "n", "grid.n"), "grid.n", low=0, high=N_MAX)
         grid_m = _int_axis(_get(grid, "m", "grid.m"), "grid.m", low=1)
         grid_l = _int_axis(grid["l"], "grid.l", low=1) if "l" in grid else None
         grid_k = _int_axis(grid["k"], "grid.k", low=0) if "k" in grid else None

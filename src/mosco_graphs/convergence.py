@@ -15,6 +15,7 @@ and are therefore blind to mass outside the spectral span (it cancels).
 """
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -55,16 +56,11 @@ class ResolventProbe:
     test_vectors: tuple[TestVector, ...]
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+        if not (np.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lambda must be finite and positive, got {self.lam}")
         if not self.test_vectors:
             raise ValueError("probe needs at least one test vector")
         object.__setattr__(self, "test_vectors", tuple(self.test_vectors))
-
-
-def _solve_on_subspace(stage: StageForm, lam: float, rhs: np.ndarray) -> np.ndarray:
-    matrix = lam * np.eye(stage.dim) - stage.matrix
-    return scipy.linalg.solve(matrix, rhs, assume_a="pos")
 
 
 def _check_residual(
@@ -87,15 +83,18 @@ def _check_residual(
 def stage_resolvent(stage: StageForm, lam: float, f: np.ndarray) -> np.ndarray:
     """(lambda - L_stage)^{-1} f with the vanishing-off-subspace rule.
 
-    Solves the small SPD system on the subspace and adds f_perp / lambda.
+    Batched over leading axes of f: one SPD solve on the subspace takes
+    every vector as a right-hand side, and f_perp / lambda is added.
     Guarded: the reconstructed residual must stay under RESIDUAL_TOL
-    relative to ||f||.
+    relative to ||f|| for every vector.
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda must be finite and positive, got {lam}")
     f = np.asarray(f, dtype=float)
     c = stage.coefficients(f)
-    u = _solve_on_subspace(stage, lam, c)
+    matrix = lam * np.eye(stage.dim) - stage.matrix
+    rhs = c.reshape(-1, stage.dim).T
+    u = scipy.linalg.solve(matrix, rhs, assume_a="pos").T.reshape(c.shape)
     _check_residual(stage, lam, u, c, f)
     complement = f - c @ stage.subspace
     return u @ stage.subspace + complement / lam
@@ -104,13 +103,11 @@ def stage_resolvent(stage: StageForm, lam: float, f: np.ndarray) -> np.ndarray:
 def resolvent_error(
     model: SpectralModel, stage: StageForm, probe: ResolventProbe
 ) -> dict[str, float]:
-    """||G_lambda^stage f - G_lambda f|| per test vector."""
-    out = {}
-    for vec in probe.test_vectors:
-        approx = stage_resolvent(stage, probe.lam, vec.values)
-        exact = model.exact_resolvent(probe.lam, vec.values)
-        out[vec.name] = float(model.space.norm(approx - exact))
-    return out
+    """||G_lambda^stage f - G_lambda f|| per test vector, in one batched solve."""
+    stack = np.stack([vec.values for vec in probe.test_vectors])
+    approx = stage_resolvent(stage, probe.lam, stack)
+    errors = model.space.norm(approx - model.exact_resolvent(probe.lam, stack))
+    return {vec.name: float(e) for vec, e in zip(probe.test_vectors, errors)}
 
 
 # ---------------------------------------------------------------------------
@@ -141,22 +138,8 @@ class SweepGrid:
             raise ValueError("a k-grid needs an l-grid")
 
     def indices(self) -> list[StageIndex]:
-        out = []
-        for n in self.n:
-            if self.m is None:
-                out.append(StageIndex(n))
-                continue
-            for m in self.m:
-                if self.l is None:
-                    out.append(StageIndex(n, m))
-                    continue
-                for l in self.l:
-                    if self.k is None:
-                        out.append(StageIndex(n, m, l))
-                        continue
-                    for k in self.k:
-                        out.append(StageIndex(n, m, l, k))
-        return out
+        axes = [axis for axis in (self.n, self.m, self.l, self.k) if axis is not None]
+        return [StageIndex(*point) for point in itertools.product(*axes)]
 
 
 @dataclass(frozen=True)
@@ -177,39 +160,32 @@ def _records_for_index(
     basis: OrthonormalBasis,
     index: StageIndex,
     battery: Sequence[TestVector],
-    lambdas: Sequence[float],
+    stack: np.ndarray,
+    exacts: np.ndarray,
+    exact_resolvents: Sequence[tuple[float, np.ndarray]],
     record_timings: bool,
 ) -> list[ConvergenceRecord]:
     started = time.perf_counter()
     stage = Stage(model, basis, index)
-    sf = stage.generator()
-    stack = np.stack([vec.values for vec in battery])
     forms = np.atleast_1d(stage.form(stack))
-    exacts = np.atleast_1d(model.exact_form(stack))
-    coeffs = sf.coefficients(stack)
-    per_lambda = {}
-    for lam in lambdas:
-        solved = _solve_on_subspace(sf, lam, coeffs.T).T
-        _check_residual(sf, lam, solved, coeffs, stack)
-        approx = solved @ sf.subspace + (stack - coeffs @ sf.subspace) / lam
-        exact_res = model.exact_resolvent(lam, stack)
-        per_lambda[lam] = np.atleast_1d(model.space.norm(approx - exact_res))
+    errors = []
+    for lam, exact in exact_resolvents:
+        approx = stage_resolvent(stage.form_data, lam, stack)
+        errors.append((lam, np.atleast_1d(model.space.norm(approx - exact))))
     wall_ms = (time.perf_counter() - started) * 1e3 if record_timings else 0.0
-    records = []
-    for lam in lambdas:
-        for v, vec in enumerate(battery):
-            records.append(
-                ConvergenceRecord(
-                    index=index,
-                    lam=float(lam),
-                    vector_name=vec.name,
-                    resolvent_error=float(per_lambda[lam][v]),
-                    form_value=float(forms[v]),
-                    exact_form=float(exacts[v]),
-                    wall_ms=wall_ms,
-                )
-            )
-    return records
+    return [
+        ConvergenceRecord(
+            index=index,
+            lam=float(lam),
+            vector_name=vec.name,
+            resolvent_error=float(per_vector[v]),
+            form_value=float(forms[v]),
+            exact_form=float(exacts[v]),
+            wall_ms=wall_ms,
+        )
+        for lam, per_vector in errors
+        for v, vec in enumerate(battery)
+    ]
 
 
 def iterated_limit_sweep(
@@ -220,11 +196,20 @@ def iterated_limit_sweep(
     lambdas: Sequence[float] = (1.0,),
     record_timings: bool = False,
 ) -> list[ConvergenceRecord]:
-    """Evaluate every grid point; records come back in grid order."""
+    """Evaluate every grid point; records come back in grid order.
+
+    The model side does not depend on the stage, so the exact form and
+    the exact resolvent of each lambda are computed once for the sweep.
+    """
+    stack = np.stack([vec.values for vec in battery])
+    exacts = np.atleast_1d(model.exact_form(stack))
+    exact_resolvents = [(lam, model.exact_resolvent(lam, stack)) for lam in lambdas]
     return [
         record
         for ix in schedule.indices()
-        for record in _records_for_index(model, basis, ix, battery, lambdas, record_timings)
+        for record in _records_for_index(
+            model, basis, ix, battery, stack, exacts, exact_resolvents, record_timings
+        )
     ]
 
 
@@ -266,62 +251,6 @@ MOSCO_PROXY_NOTE = (
     "variational lower-bound condition not machine-checkable; "
     "strong resolvent convergence used as the operational proxy"
 )
-
-
-@dataclass(frozen=True)
-class MoscoReport:
-    indices: tuple[StageIndex, ...]
-    values: tuple[float, ...]
-    exact_value: float
-    max_overshoot: float
-    terminal_gap: float
-    terminal_gap_rel: float
-    note: str = MOSCO_PROXY_NOTE
-
-    def summary(self) -> str:
-        return (
-            f"limsup check: exact={self.exact_value:.6g} "
-            f"terminal_gap={self.terminal_gap:.3e} "
-            f"(rel {self.terminal_gap_rel:.3e}) "
-            f"max_overshoot={self.max_overshoot:.3e} [{self.note}]"
-        )
-
-
-def mosco_limsup_check(
-    model: SpectralModel,
-    basis: OrthonormalBasis,
-    diagonal: Sequence[StageIndex],
-    f: np.ndarray,
-) -> MoscoReport:
-    """Track stage energies of a fixed span vector along a grid diagonal.
-
-    The recovery device is the constant sequence: the same f is fed to
-    every stage, and the report records how far the stage values overshoot
-    the exact energy (never, in exact arithmetic, for these monotone
-    stages) and the terminal gap to it.
-    """
-    f = np.asarray(f, dtype=float)
-    norm = model.space.norm(f)
-    off = model.space.norm(f - model.span_project(f))
-    if off > 1e-8 * max(norm, 1e-300):
-        raise ValueError("f must lie in the spectral span")
-    if not diagonal:
-        raise ValueError("need at least one index")
-    values = [
-        float(Stage(model, basis, ix).form(f)) for ix in diagonal
-    ]
-    exact = float(model.exact_form(f))
-    overshoot = max(0.0, max(v - exact for v in values))
-    gap = abs(exact - values[-1])
-    rel = gap / max(abs(exact), 1e-300)
-    return MoscoReport(
-        indices=tuple(diagonal),
-        values=tuple(values),
-        exact_value=exact,
-        max_overshoot=overshoot,
-        terminal_gap=gap,
-        terminal_gap_rel=rel,
-    )
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, SymmetryError
-from .measure import AmbientSpace, CellPartition, StepFunction
+from .measure import AmbientSpace, CellPartition, OrthonormalBasis, StepFunction
 from .models import MarkovKernelModel, SpectralModel
-from .pipeline import Stage, StageIndex
-from .measure import OrthonormalBasis
+from .pipeline import StageIndex, stage_partition
 
 # Conductances smaller than this are treated as numerical zeros in
 # exports; genuine edges sit far above it.
@@ -250,11 +249,10 @@ def final_stage_graph(
     """
     if index.m is None or index.l is None or index.k is None:
         raise ValueError("final stage graph needs all of n, m, l, k")
-    stage = Stage(model, basis, index)
-    assert stage.partition is not None
+    index.validate_for(model, basis)
     return extract_graph(
         lambda F: model.apply_semigroup(index.time, F),
-        stage.partition,
+        stage_partition(basis, index),
         model.space,
         scale=index.bound,
         clamp_tol=clamp_tol,

@@ -130,8 +130,8 @@ class SpectralModel:
         The complement convention matches the stage resolvents built
         downstream, whose generators vanish off their recorded subspace.
         """
-        if lam <= 0:
-            raise ValueError(f"resolvent parameter must be positive, got {lam}")
+        if not (np.isfinite(lam) and lam > 0):
+            raise ValueError(f"resolvent parameter must be finite and positive, got {lam}")
         c = self.coefficients(f)
         gain = 1.0 / (lam + self.eigenvalues)
         span = self.basis.synthesize(c * gain)

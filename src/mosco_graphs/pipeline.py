@@ -40,6 +40,9 @@ NSD_TOL = 1e-9
 # Symmetry tolerance on assembled generator matrices.
 SYM_TOL = 1e-10
 
+# Deepest dyadic level: 2^n must stay a finite float.
+N_MAX = 1023
+
 
 # ---------------------------------------------------------------------------
 # stage indices
@@ -65,8 +68,8 @@ class StageIndex:
             value = getattr(self, field)
             if value is not None and not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{field} must be an integer, got {value!r}")
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
+        if not 0 <= self.n <= N_MAX:
+            raise ValueError(f"n must be in 0..{N_MAX}, got {self.n}")
         if self.m is not None and self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if self.l is not None and self.m is None:
@@ -79,6 +82,8 @@ class StageIndex:
             raise ValueError(f"k must be >= 0, got {self.k}")
 
     def validate_for(self, model: SpectralModel, basis: OrthonormalBasis) -> None:
+        if basis.space is not model.space:
+            raise ValueError("model and basis must share one ambient space")
         if self.m is not None and self.m > basis.n_vectors:
             raise DimensionMismatch(
                 f"m = {self.m} exceeds the {basis.n_vectors}-vector basis"
@@ -162,6 +167,13 @@ def level_partition(basis: OrthonormalBasis, m: int, k: int) -> CellPartition:
     )
 
 
+def stage_partition(basis: OrthonormalBasis, index: StageIndex) -> CellPartition:
+    """The level-set partition of a fully indexed stage, restricted to X_l."""
+    space = basis.space
+    partition = level_partition(basis, index.m, index.k)
+    return partition.restrict(space, space.exhaustion_set(index.l))
+
+
 # ---------------------------------------------------------------------------
 # assembled stages
 # ---------------------------------------------------------------------------
@@ -234,8 +246,6 @@ class Stage:
     """
 
     def __init__(self, model: SpectralModel, basis: OrthonormalBasis, index: StageIndex):
-        if basis.space is not model.space:
-            raise ValueError("model and basis must share one ambient space")
         index.validate_for(model, basis)
         self.model = model
         self.basis = basis
@@ -243,7 +253,6 @@ class Stage:
         space = model.space
 
         self.partition: CellPartition | None = None
-        self._cell_values: np.ndarray | None = None
         if index.m is None:
             # Bare semigroup stage: the subspace is the spectral span.
             subspace = model.basis.vectors
@@ -254,17 +263,13 @@ class Stage:
             if index.l is not None:
                 images = images * space.exhaustion_mask(index.l)
             if index.k is not None:
-                partition = level_partition(basis, index.m, index.k)
-                partition = partition.restrict(
-                    space, space.exhaustion_set(index.l)
-                )
+                partition = stage_partition(basis, index)
                 self.partition = partition
                 # Conditional expectation: average the masked images over
                 # each cell, then spread the averages back out.
                 cell_avg = (
                     images @ (partition.indicator_matrix * space.weights).T
                 ) / partition.masses
-                self._cell_values = cell_avg
                 images = cell_avg @ partition.indicator_matrix
         self.subspace = subspace
         self.images = images
@@ -300,26 +305,16 @@ class Stage:
         c = self.basis.coefficients(f, self.index.m)
         return c @ self.images
 
-    def step_coefficients(self, f: np.ndarray) -> np.ndarray:
-        """Cell values of the projection, for fully-indexed stages."""
-        if self._cell_values is None:
-            raise ValueError("stage has no partition (k not enabled)")
-        c = self.basis.coefficients(f, self.index.m)
-        return c @ self._cell_values
-
-    # -- form and generator -------------------------------------------------
+    # -- the stage form ------------------------------------------------------
 
     def form(self, f: np.ndarray):
         """The stage energy of f; batched over leading axes."""
         g = self.project(f)
         return semigroup_form(self.model, self.index.n, g)
 
-    def generator(self) -> StageForm:
-        return self.form_data
-
 
 def stage_generator(
     model: SpectralModel, basis: OrthonormalBasis, index: StageIndex
 ) -> StageForm:
     """Generator matrix of the stage at ``index`` over its subspace."""
-    return Stage(model, basis, index).generator()
+    return Stage(model, basis, index).form_data

@@ -1,5 +1,6 @@
 """Config validation and the command-line surface, run in process."""
 import json
+import re
 
 import pytest
 
@@ -63,6 +64,45 @@ class TestConfigValidation:
         for data, needle in cases:
             with pytest.raises(ConfigError, match=needle):
                 config_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "lambdas, needle",
+        [
+            ([1.0, float("nan")], r"lambdas\[1\]: resolvent parameter must be a finite float"),
+            ([float("inf")], r"lambdas\[0\]: resolvent parameter must be a finite float"),
+            ([1.0, 2.0, 1.0], r"lambdas\[2\]: 1.0 repeats"),
+        ],
+        ids=["nan", "inf", "repeated"],
+    )
+    def test_non_finite_or_repeated_lambdas_are_refused(self, tmp_path, capsys, lambdas, needle):
+        # json reads NaN and Infinity; neither may reach the solver, and a
+        # repeated lambda would write every CSV row twice.
+        data = minimal_dict(tmp_path / "out")
+        data["lambdas"] = lambdas
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert re.search(needle, capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, field, value, needle",
+        [
+            ("run", "grid", {"n": [2, 1100], "m": [4]}, r"grid\.n\[1\]: 1100 is above"),
+            ("export-graph", "graph_exports", [[1100, 2, 1, 1]], r"graph_exports\[0\]\[0\]: 1100"),
+        ],
+        ids=["grid.n", "graph_exports"],
+    )
+    def test_time_levels_beyond_float_range_are_refused(
+        self, tmp_path, capsys, command, field, value, needle
+    ):
+        # 2^n overflows a float from n = 1024 on.
+        data = minimal_dict(tmp_path / "out")
+        data[field] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert re.search(needle, capsys.readouterr().err)
 
     def test_direct_construction_validates_too(self):
         with pytest.raises(ConfigError, match="over-resolve"):
@@ -169,7 +209,7 @@ class TestExportCommand:
 
     def test_bad_index_strings(self, run_artifacts, tmp_path, capsys):
         cfg_path, _ = run_artifacts
-        for bad in ("4,6,2", "4,six,2,2"):
+        for bad in ("4,6,2", "4,six,2,2", "1100,2,1,1"):
             code = cli.main(
                 [
                     "export-graph",

@@ -1,6 +1,7 @@
 """Resolvent comparisons, sweeps, and the convergence verdict helpers."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mosco_graphs import (
     OrthonormalBasis,
@@ -16,7 +17,6 @@ from mosco_graphs import (
     eventually_nonincreasing,
     iterated_limit_sweep,
     monotonicity_audit,
-    mosco_limsup_check,
     neumann_model,
     resolvent_error,
     stage_generator,
@@ -67,15 +67,30 @@ class TestStageResolvent:
             space=space,
             bound=1.0,
         )
-        with pytest.raises(ValueError, match="lambda"):
-            stage_resolvent(sf, 0.0, np.ones(8))
+        for lam in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="lambda"):
+                stage_resolvent(sf, lam, np.ones(8))
+
+    def test_batched_rows_match_single_vectors(self, neumann_small):
+        sf = stage_generator(
+            neumann_small, neumann_small.basis, StageIndex(6, 10, 3, 4)
+        )
+        rng = np.random.default_rng(59)
+        stack = rng.standard_normal((2, 3, 256))
+        batched = stage_resolvent(sf, 1.5, stack)
+        assert batched.shape == stack.shape
+        for f, row in zip(stack.reshape(-1, 256), batched.reshape(-1, 256)):
+            np.testing.assert_allclose(row, stage_resolvent(sf, 1.5, f), rtol=0, atol=1e-13)
+        flat = stage_resolvent(sf, 1.5, stack.reshape(-1, 256))
+        assert np.array_equal(flat, batched.reshape(-1, 256))
 
     def test_probe_validation(self):
         with pytest.raises(ValueError, match="nonzero"):
             TestVector("zero", np.zeros(4))
         vec = TestVector("v", np.ones(4))
-        with pytest.raises(ValueError, match="positive"):
-            ResolventProbe(0.0, (vec,))
+        for lam in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive"):
+                ResolventProbe(lam, (vec,))
         with pytest.raises(ValueError, match="at least one"):
             ResolventProbe(1.0, ())
 
@@ -169,6 +184,8 @@ class TestEventuallyNonincreasing:
 
 
 class TestMoscoCheck:
+    # Stage energies of a fixed span vector along a grid diagonal: the
+    # constant recovery sequence of the limsup half of Mosco convergence.
     DIAGONAL = (
         StageIndex(2, 2, 4, 1),
         StageIndex(4, 4, 4, 2),
@@ -178,47 +195,23 @@ class TestMoscoCheck:
         StageIndex(12, 16, 4, 8),
     )
 
+    def diagonal_forms(self, model, f):
+        return [float(Stage(model, model.basis, ix).form(f)) for ix in self.DIAGONAL]
+
     def test_first_eigenvector_diagonal(self, neumann_full, frozen_reference):
-        report = mosco_limsup_check(
-            neumann_full,
-            neumann_full.basis,
-            self.DIAGONAL,
-            neumann_full.basis.vectors[1],
-        )
-        assert report.max_overshoot <= 1e-9
-        assert report.terminal_gap <= 1.5 * frozen_reference["terminal_form_gap"]
-        assert "resolvent convergence" in report.note
-        assert "limsup" in report.summary()
+        f = neumann_full.basis.vectors[1]
+        values = self.diagonal_forms(neumann_full, f)
+        exact = float(neumann_full.exact_form(f))
+        assert max(v - exact for v in values) <= 1e-9
+        assert abs(exact - values[-1]) <= 1.5 * frozen_reference["terminal_form_gap"]
 
     def test_constant_rides_along_freely(self, neumann_full):
-        report = mosco_limsup_check(
-            neumann_full,
-            neumann_full.basis,
-            self.DIAGONAL,
-            neumann_full.space.constant(),
-        )
-        assert abs(report.exact_value) <= 1e-20
-        assert max(report.values) <= 1e-12
-        assert report.terminal_gap <= 1e-12
-
-    def test_off_span_inputs_are_refused(self, neumann_small):
-        rng = np.random.default_rng(71)
-        with pytest.raises(ValueError, match="span"):
-            mosco_limsup_check(
-                neumann_small,
-                neumann_small.basis,
-                (StageIndex(2, 2, 1, 1),),
-                rng.standard_normal(256),
-            )
-
-    def test_empty_diagonal_is_refused(self, neumann_small):
-        with pytest.raises(ValueError, match="at least one"):
-            mosco_limsup_check(
-                neumann_small,
-                neumann_small.basis,
-                (),
-                neumann_small.basis.vectors[1],
-            )
+        f = neumann_full.space.constant()
+        values = self.diagonal_forms(neumann_full, f)
+        exact = float(neumann_full.exact_form(f))
+        assert abs(exact) <= 1e-20
+        assert max(values) <= 1e-12
+        assert abs(exact - values[-1]) <= 1e-12
 
 
 class TestMaskLevelDirection:
@@ -310,19 +303,39 @@ class TestSweep:
         )
         assert all(r.wall_ms > 0.0 for r in on)
 
+    def test_records_equal_resolvent_error_bit_for_bit(self, neumann_small):
+        # The sweep and resolvent_error share one batched stage_resolvent
+        # and one exact resolvent per lambda, so not a bit may differ.
+        model = neumann_small
+        battery = default_test_battery(model, model.basis, np.random.default_rng(7))
+        grid = SweepGrid(n=(2, 6, 12), m=(4, 16), l=(2, 4), k=(2, 8))
+        records = iterated_limit_sweep(
+            model, model.basis, grid, battery, lambdas=(1.0, 2.0)
+        )
+        assert len(records) == 720
+        expected = {}
+        for ix in grid.indices():
+            sf = stage_generator(model, model.basis, ix)
+            for lam in (1.0, 2.0):
+                errs = resolvent_error(model, sf, ResolventProbe(lam, battery))
+                for name, err in errs.items():
+                    expected[ix, lam, name] = err
+        for r in records:
+            assert r.resolvent_error == expected[r.index, r.lam, r.vector_name], r
+
     @pytest.mark.parametrize("error", [1e-6, np.nan])
     def test_inaccurate_solve_is_refused(self, monkeypatch, error):
-        # The sweep's batched solve carries the same residual guard as
-        # stage_resolvent: one bad vector is enough to stop it.
+        # The residual guard checks every vector of a batched solve: one
+        # bad vector is enough to stop the sweep or a single resolvent.
         model, battery, grid = self.make_inputs()
-        exact_solve = convergence._solve_on_subspace
+        exact_solve = scipy.linalg.solve
 
-        def sloppy(stage, lam, rhs):
-            out = np.array(exact_solve(stage, lam, rhs))
+        def sloppy(a, b, **kwargs):
+            out = np.array(exact_solve(a, b, **kwargs))
             out[..., -1] += error
             return out
 
-        monkeypatch.setattr(convergence, "_solve_on_subspace", sloppy)
+        monkeypatch.setattr(convergence.scipy.linalg, "solve", sloppy)
         with pytest.raises(SolverError, match="residual"):
             iterated_limit_sweep(model, model.basis, grid, battery)
         with pytest.raises(SolverError, match="residual"):

@@ -257,7 +257,7 @@ class TestFinalStageGraphs:
             assert graph.scale == index.bound
             for _ in range(25):
                 f = rng.standard_normal(256)
-                alpha = stage.step_coefficients(f)
+                alpha = stage.project(f)[stage.partition.first_sites]
                 assert graph_energy(graph, alpha) == pytest.approx(
                     stage.form(f), rel=1e-9, abs=1e-9
                 )
@@ -267,7 +267,7 @@ class TestFinalStageGraphs:
         index = StageIndex(4, 8, model.space.l_max, 2)
         stage = Stage(model, model.basis, index)
         graph = final_stage_graph(model, model.basis, index)
-        alpha = stage.step_coefficients(model.space.constant())
+        alpha = stage.project(model.space.constant())[stage.partition.first_sites]
         assert graph_energy(graph, alpha) <= 1e-10
 
     def test_coarse_energies_live_inside_fine_graphs(self):

@@ -152,8 +152,9 @@ class TestExactFormAndResolvent:
 
     def test_nonpositive_lambda_rejected(self):
         model = neumann_model(64, 4)
-        with pytest.raises(ValueError):
-            model.exact_resolvent(0.0, model.space.constant())
+        for lam in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                model.exact_resolvent(lam, model.space.constant())
 
 
 class TestKernelModels:

@@ -13,6 +13,7 @@ from mosco_graphs import (
     StageForm,
     StageIndex,
     birth_death_model,
+    final_stage_graph,
     galerkin_projection,
     level_partition,
     neumann_model,
@@ -34,6 +35,10 @@ class TestStageIndex:
             StageIndex(3, 2, None, 1)
         with pytest.raises(ValueError):
             StageIndex(-1)
+        # 2^n must stay a finite float: 2.0**1024 overflows.
+        assert StageIndex(1023).bound == 2.0**1023
+        with pytest.raises(ValueError, match="n must be in 0..1023"):
+            StageIndex(1024)
         with pytest.raises(ValueError):
             StageIndex(2, 0)
 
@@ -50,6 +55,12 @@ class TestStageIndex:
             StageIndex(2, 9).validate_for(model, model.basis)
         with pytest.raises(ValueError, match="exhaustion"):
             StageIndex(2, 4, 7).validate_for(model, model.basis)
+        # Stage and final_stage_graph both go through validate_for.
+        foreign = neumann_model(128, 8).basis
+        with pytest.raises(ValueError, match="share one ambient space"):
+            Stage(model, foreign, StageIndex(2, 4))
+        with pytest.raises(ValueError, match="share one ambient space"):
+            final_stage_graph(model, foreign, StageIndex(2, 4, 2, 2))
 
 
 class TestSemigroupForm:
