@@ -68,7 +68,10 @@ def _load(args) -> ExperimentConfig:
 
 
 def _build_model(config: ExperimentConfig) -> SpectralModel:
-    model = get_model(config.model, config.resolution, config.modes)
+    try:
+        model = get_model(config.model, config.resolution, config.modes)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"model: {exc}") from None
     lmax = model.space.l_max
     if config.grid_l and max(config.grid_l) > lmax:
         raise ConfigError(
@@ -95,7 +98,7 @@ def _build_basis(config: ExperimentConfig, model: SpectralModel) -> OrthonormalB
 def _battery(config: ExperimentConfig, model: SpectralModel, basis: OrthonormalBasis):
     rng = np.random.default_rng(config.seed)
     spec = config.test_vectors
-    return default_test_battery(
+    battery = default_test_battery(
         model,
         basis,
         rng,
@@ -104,6 +107,9 @@ def _battery(config: ExperimentConfig, model: SpectralModel, basis: OrthonormalB
         n_step=spec.n_step,
         include_constant=spec.include_constant,
     )
+    if not battery:
+        raise ConfigError("test_vectors: the battery is empty; ask for at least one vector")
+    return battery
 
 
 def _format(x: float) -> str:

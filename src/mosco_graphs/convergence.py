@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
+# scipy loads its linalg submodule on first attribute access, so a
+# process that never solves a resolvent never pays for that import.
+import scipy
 
 from .errors import SolverError
 from .measure import OrthonormalBasis
@@ -48,6 +50,15 @@ class TestVector:
         object.__setattr__(self, "values", values)
 
 
+def _check_unique_names(vectors: Sequence[TestVector]) -> None:
+    """Refuse a repeated name: results are keyed and sorted by name."""
+    seen = set()
+    for vec in vectors:
+        if vec.name in seen:
+            raise ValueError(f"test vector name {vec.name!r} is repeated")
+        seen.add(vec.name)
+
+
 @dataclass(frozen=True, eq=False)
 class ResolventProbe:
     """One resolvent parameter plus the vectors to probe with."""
@@ -60,6 +71,7 @@ class ResolventProbe:
             raise ValueError(f"lambda must be finite and positive, got {self.lam}")
         if not self.test_vectors:
             raise ValueError("probe needs at least one test vector")
+        _check_unique_names(self.test_vectors)
         object.__setattr__(self, "test_vectors", tuple(self.test_vectors))
 
 
@@ -201,6 +213,7 @@ def iterated_limit_sweep(
     The model side does not depend on the stage, so the exact form and
     the exact resolvent of each lambda are computed once for the sweep.
     """
+    _check_unique_names(battery)
     stack = np.stack([vec.values for vec in battery])
     exacts = np.atleast_1d(model.exact_form(stack))
     exact_resolvents = [(lam, model.exact_resolvent(lam, stack)) for lam in lambdas]

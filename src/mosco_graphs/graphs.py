@@ -17,6 +17,7 @@ the ``scale`` field records it so the bookkeeping sum_i c_ij + kappa_j
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -120,7 +121,14 @@ def extract_graph(
     images = np.asarray(apply(indicators), dtype=float)
     if images.shape != indicators.shape:
         raise DimensionMismatch("operator changed the shape of indicator rows")
-    c = np.einsum("ix,x,jx->ij", images, space.weights, indicators)
+    # c_ij = sum_x images_ix w_x over the sites x of cell j.  ``add.at``
+    # accumulates in site order, the order of a sequential sum over x, so
+    # the result equals the dense product with the 0/1 indicators bit for
+    # bit while skipping its zero terms.
+    on = partition.support
+    c = np.zeros((partition.n_cells, images.shape[0]))
+    np.add.at(c, partition.cell_of[on], (images[:, on] * space.weights[on]).T)
+    c = c.T
     asym = float(np.max(np.abs(c - c.T)))
     if asym > sym_tol * max(1.0, float(np.max(np.abs(c)))):
         raise SymmetryError(
@@ -316,6 +324,38 @@ def write_graph_json(graph: WeightedGraph, path) -> None:
     Path(path).write_text(f'{{\n "scale": {scale},\n{vertices},\n{edges}\n}}\n')
 
 
+def _as_scale(value) -> float:
+    """The parsed scale as a finite float, or a ValueError naming ``scale``."""
+    try:
+        scale = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"scale: {value!r} is not a number") from None
+    except OverflowError:  # an int beyond the float range
+        raise ValueError("scale: must be finite") from None
+    if not np.isfinite(scale):
+        raise ValueError("scale: must be finite")
+    return scale
+
+
+def _finite_numbers(values, field: str) -> np.ndarray:
+    """A column of real numbers as floats; ``field`` names it in a ValueError.
+
+    Ints are numbers; strings, null and booleans are not, although numpy
+    would read a boolean as 0 or 1.  Types are checked once per distinct
+    type, so the scan stays a C-level pass over the column.
+    """
+    for kind in set(map(type, values)):
+        if kind is bool or not issubclass(kind, numbers.Real):
+            raise ValueError(f"{field}: values must be numbers, found {kind.__name__}")
+    try:
+        out = np.asarray(values, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{field}: values must be finite") from None
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{field}: values must be finite")
+    return out
+
+
 def _graph_from_tables(ids, mu, kappa, i, j, c, scale) -> WeightedGraph:
     """Validate parsed vertex and edge columns, then assemble the graph.
 
@@ -323,12 +363,7 @@ def _graph_from_tables(ids, mu, kappa, i, j, c, scale) -> WeightedGraph:
     ``j`` and ``c`` are per-edge columns; ``scale`` is the value as parsed.
     Every rejection is a ValueError naming the offending field.
     """
-    try:
-        scale = float(scale)
-    except (TypeError, ValueError):
-        raise ValueError(f"scale: {scale!r} is not a number") from None
-    if not np.isfinite(scale):
-        raise ValueError("scale: must be finite")
+    scale = _as_scale(scale)
     ids = np.asarray(ids)
     v = ids.size
     if v and ids.dtype.kind not in "iu":
@@ -336,9 +371,8 @@ def _graph_from_tables(ids, mu, kappa, i, j, c, scale) -> WeightedGraph:
     ids = ids.astype(np.intp)
     if not np.array_equal(np.sort(ids), np.arange(v)):
         raise ValueError("vertex id: ids must be 0..V-1 with no gap or duplicate")
-    for name, values in (("mu", mu), ("kappa", kappa)):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"vertex {name}: values must be finite")
+    mu = _finite_numbers(mu, "vertex mu")
+    kappa = _finite_numbers(kappa, "vertex kappa")
     ends = []
     for name, raw in (("i", i), ("j", j)):
         end = np.asarray(raw)
@@ -355,9 +389,7 @@ def _graph_from_tables(ids, mu, kappa, i, j, c, scale) -> WeightedGraph:
     if repeated.size:
         a, b = divmod(int(repeated[0]), v)
         raise ValueError(f"edge i/j: pair ({a}, {b}) listed twice")
-    c = np.asarray(c, dtype=float)
-    if not np.all(np.isfinite(c)):
-        raise ValueError("edge c: conductances must be finite")
+    c = _finite_numbers(c, "edge c")
     mu_by_id = np.empty(v)
     kappa_by_id = np.empty(v)
     mu_by_id[ids] = mu
@@ -458,5 +490,9 @@ def _read_table(path, kind: str, types) -> tuple[str | float, list[list]]:
 
 def read_edge_list(edges_path, vertices_path) -> WeightedGraph:
     scale, (ids, mu, kappa) = _read_table(vertices_path, "vertex", (int, float, float))
-    _, (i, j, c) = _read_table(edges_path, "edge", (int, int, float))
+    edge_scale, (i, j, c) = _read_table(edges_path, "edge", (int, int, float))
+    if _as_scale(edge_scale) != _as_scale(scale):
+        raise ValueError(
+            f"scale: the edge file has {edge_scale}, the vertex file {scale}"
+        )
     return _graph_from_tables(ids, mu, kappa, i, j, c, scale)

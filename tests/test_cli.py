@@ -1,9 +1,15 @@
 """Config validation and the command-line surface, run in process."""
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from test_golden import CONFIG as GOLDEN_CONFIG
 
+import mosco_graphs
 from mosco_graphs import cli, read_graph_json
 from mosco_graphs.config import (
     ExperimentConfig,
@@ -103,6 +109,30 @@ class TestConfigValidation:
         path.write_text(json.dumps(data))
         assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
         assert re.search(needle, capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["run", "export-graph"])
+    def test_unknown_or_malformed_model_is_a_config_error(self, tmp_path, capsys, command):
+        table = tmp_path / "table.txt"
+        table.write_text("1.0 0.5 x\n")
+        for model, needle in [("nope", "unknown model 'nope'"), (str(table), "could not convert")]:
+            data = minimal_dict(tmp_path / "out")
+            data["model"] = model
+            data["graph_exports"] = [[2, 4, 2, 2]]
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(data))
+            assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith("config error: model: ") and needle in err
+            assert not (tmp_path / "out").exists()
+
+    def test_empty_battery_is_a_config_error(self, tmp_path, capsys):
+        data = minimal_dict(tmp_path / "out")
+        data["test_vectors"] = {"basis": 0, "span": 0, "step": 0, "constant": False}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert "config error: test_vectors: the battery is empty" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_direct_construction_validates_too(self):
         with pytest.raises(ConfigError, match="over-resolve"):
@@ -264,3 +294,42 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             cli.main([])
         assert info.value.code == 2
+
+
+# Run in a fresh process on the golden config: import the package, export
+# and read back its graph, then run it, and print after each step whether
+# scipy.linalg is loaded.
+_LINALG_PROBE = """
+import json, sys
+from pathlib import Path
+from mosco_graphs import cli, read_edge_list, read_graph_json
+config, out = sys.argv[1], Path(sys.argv[2])
+loaded = ["scipy.linalg" in sys.modules]
+assert cli.main(["export-graph", "--config", config, "--out", str(out)]) == 0
+stem = str(out / "graph_n6_m8_l4_k3")
+read_graph_json(stem + ".json")
+read_edge_list(stem + ".edges.txt", stem + ".vertices.txt")
+loaded.append("scipy.linalg" in sys.modules)
+assert cli.main(["run", "--config", config, "--out", str(out / "run")]) == 0
+loaded.append("scipy.linalg" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_only_a_resolvent_solve_loads_scipy_linalg(tmp_path):
+    # Export and read-back processes never solve, so they must not pay
+    # for the scipy.linalg import; a run solves, which shows the probe
+    # can see the module.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(GOLDEN_CONFIG))
+    src = str(Path(mosco_graphs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _LINALG_PROBE, str(config), str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == [False, False, True]

@@ -323,6 +323,16 @@ class TestSweep:
         for r in records:
             assert r.resolvent_error == expected[r.index, r.lam, r.vector_name], r
 
+    def test_repeated_vector_names_are_refused(self):
+        # resolvent_error keys its result by name, so a repeat would merge
+        # two vectors there while the sweep kept a record for each.
+        model, battery, grid = self.make_inputs()
+        twins = [battery[0], TestVector("a", battery[1].values)]
+        with pytest.raises(ValueError, match="name 'a' is repeated"):
+            iterated_limit_sweep(model, model.basis, grid, twins)
+        with pytest.raises(ValueError, match="name 'a' is repeated"):
+            ResolventProbe(1.0, twins)
+
     @pytest.mark.parametrize("error", [1e-6, np.nan])
     def test_inaccurate_solve_is_refused(self, monkeypatch, error):
         # The residual guard checks every vector of a batched solve: one

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mosco_graphs import (
@@ -11,6 +11,7 @@ from mosco_graphs import (
     CellPartition,
     DimensionMismatch,
     MarkovKernelModel,
+    PartitionError,
     Stage,
     StageIndex,
     StepFunction,
@@ -31,6 +32,7 @@ from mosco_graphs import (
     write_graph_json,
 )
 from mosco_graphs.graphs import EDGE_EPS, KILLING_TOL, graph_from_json_dict
+from mosco_graphs.pipeline import stage_partition
 
 
 def two_site_kernel(p_matrix):
@@ -178,6 +180,126 @@ class TestExtractionGuards:
         # A wider band turns the same operator into a clip.
         graph = extract_graph(lambda F: -1e-6 * F, part, space, clamp_tol=1e-5)
         assert np.min(graph.conductances) == 0.0
+
+
+def einsum_extract_graph(operator, partition, space, scale=1.0):
+    """``extract_graph`` as it was before its cell sums: one dense einsum."""
+    apply = operator.apply if hasattr(operator, "apply") else operator
+    indicators = partition.indicator_matrix
+    images = np.asarray(apply(indicators), dtype=float)
+    c = np.einsum("ix,x,jx->ij", images, space.weights, indicators)
+    asym = float(np.max(np.abs(c - c.T)))
+    if asym > 1e-8 * max(1.0, float(np.max(np.abs(c)))):
+        raise SymmetryError(
+            f"operator is not symmetric for the weighted inner product "
+            f"on this partition (residual {asym:.3e})"
+        )
+    c = (c + c.T) / 2.0
+    low = float(np.min(c))
+    if low < -1e-12:
+        raise ValueError(
+            f"conductance {low:.3e} below -{1e-12:.1e}; "
+            "operator is not positivity preserving at this resolution"
+        )
+    c = np.maximum(c, 0.0) * scale
+    mu = np.asarray(partition.masses, dtype=float)
+    return WeightedGraph(mu, c, scale * mu - c.sum(axis=0), scale=scale)
+
+
+def low_rank_operator(rng, space, kind):
+    """F -> (F w) U^T V with nonnegative U, V: weighted-symmetric when V = U.
+
+    ``kind`` is "symmetric", "asymmetric" (V independent of U) or
+    "negative" (the symmetric operator with its sign flipped).
+    """
+    u = rng.uniform(0.0, 1.0, size=(6, space.size)) / space.size
+    v = u if kind != "asymmetric" else rng.uniform(0.0, 1.0, size=u.shape) / space.size
+    sign = -1.0 if kind == "negative" else 1.0
+    return lambda F: sign * (((F * space.weights) @ u.T) @ v)
+
+
+@st.composite
+def extraction_cases(draw):
+    """An operator, a partition of its space, and a scale.
+
+    Kernel operators live on random weighted spaces of up to 512 sites.
+    Callable operators get up to 2,048 sites, some of zero weight, and
+    optionally sites off the partition's support.  Cells are either
+    singletons plus one cell holding the rest, or random labels (about
+    size / cells sites each), and the partition may be restricted to a
+    random index set.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["kernel", "symmetric", "asymmetric", "negative"]))
+    if kind == "kernel":
+        operator = random_kernel_model(draw(st.integers(2, 512)), rng, draw(st.booleans()))
+        space = operator.space
+    else:
+        size = draw(st.integers(1, 2048))
+        weights = rng.uniform(0.1, 2.0, size=size)
+        weights[rng.random(size) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
+        space = AmbientSpace(np.arange(size, dtype=float), weights, (np.arange(size),))
+        operator = low_rank_operator(rng, space, kind)
+    size = space.size
+    n_cells = draw(st.integers(1, min(size, 256)))
+    if draw(st.booleans()):
+        cell_of = np.minimum(rng.permutation(size), n_cells - 1)
+    else:
+        cell_of = rng.integers(-1 if kind != "kernel" else 0, n_cells, size=size)
+    try:
+        partition = CellPartition.from_labels(space, cell_of, n_cells)
+        if draw(st.booleans()):
+            kept = rng.choice(size, size=draw(st.integers(1, size)), replace=False)
+            partition = partition.restrict(space, kept)
+    except PartitionError:
+        assume(False)
+    scale = draw(st.sampled_from([1.0, 2.0**6, 2.0**-3]))
+    return operator, partition, space, scale
+
+
+def extraction_outcome(extract, operator, partition, space, scale):
+    try:
+        graph = extract(operator, partition, space, scale=scale)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return graph.vertex_weights.tobytes(), graph.conductances.tobytes(), graph.killing.tobytes()
+
+
+class TestExtractionMatchesEinsum:
+    """Cell sums in site order give the einsum's conductances bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=extraction_cases())
+    def test_same_graph_or_same_error(self, case):
+        assert extraction_outcome(extract_graph, *case) == extraction_outcome(
+            einsum_extract_graph, *case
+        )
+
+    @pytest.mark.parametrize(
+        "kind, error, needle",
+        [("asymmetric", SymmetryError, "not symmetric"), ("negative", ValueError, "positivity")],
+    )
+    def test_guards_raise_alike(self, kind, error, needle):
+        rng = np.random.default_rng(5)
+        space = AmbientSpace(np.arange(300.0), rng.uniform(0.5, 1.5, 300), (np.arange(300),))
+        partition = CellPartition.from_labels(space, rng.integers(0, 40, 300), 40)
+        operator = low_rank_operator(rng, space, kind)
+        outcome = extraction_outcome(extract_graph, operator, partition, space, 1.0)
+        assert outcome == extraction_outcome(einsum_extract_graph, operator, partition, space, 1.0)
+        assert outcome[0] is error and needle in outcome[1]
+
+    def test_default_export_graphs_match(self):
+        model = neumann_model(1024, 64)
+        for index in (StageIndex(4, 8, 4, 4), StageIndex(10, 16, 2, 8)):
+            case = (
+                lambda F, t=index.time: model.apply_semigroup(t, F),
+                stage_partition(model.basis, index),
+                model.space,
+                index.bound,
+            )
+            assert extraction_outcome(extract_graph, *case) == extraction_outcome(
+                einsum_extract_graph, *case
+            )
 
 
 class TestIdentification:
@@ -484,8 +606,12 @@ class TestReaderValidation:
             data["edges"][0]["c"] = float("nan")
         elif case == "inf-c":
             data["edges"][2]["c"] = float("inf")
+        elif case == "huge-c":
+            data["edges"][2]["c"] = 10**400
         elif case == "nan-scale":
             data["scale"] = float("nan")
+        elif case == "huge-scale":
+            data["scale"] = 10**400
         elif case == "word-scale":
             data["scale"] = "abc"
         elif case == "repeated-pair":
@@ -501,7 +627,9 @@ class TestReaderValidation:
         ("duplicated-id", "vertex id"),
         ("nan-c", "edge c"),
         ("inf-c", "edge c"),
+        ("huge-c", "edge c: values must be finite"),
         ("nan-scale", "scale"),
+        ("huge-scale", "scale: must be finite"),
         ("word-scale", "scale: .*abc.* is not a number"),
         ("repeated-pair", r"edge i/j: pair \(0, 1\) listed twice"),
         ("reversed-pair", r"edge i/j: pair \(0, 1\) listed twice"),
@@ -557,6 +685,51 @@ class TestReaderValidation:
         with pytest.raises(ValueError, match="vertex kappa"):
             graph_from_json_dict(data)
 
+    NOT_NUMBERS = [("vertices", "vertex", "mu"), ("vertices", "vertex", "kappa"), ("edges", "edge", "c")]
+
+    @pytest.mark.parametrize("bad, kind", [("0.5", "str"), (None, "NoneType"), (True, "bool")])
+    @pytest.mark.parametrize("table, name, field", NOT_NUMBERS)
+    def test_json_values_must_be_numbers(self, table, name, field, bad, kind, tmp_path):
+        # A string or null used to fail inside isfinite or float(), naming
+        # no field, and true was read as 1.0.
+        data = self.good_dict()
+        data[table][1][field] = bad
+        needle = f"{name} {field}: values must be numbers, found {kind}"
+        with pytest.raises(ValueError, match=needle):
+            graph_from_json_dict(data)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=needle):
+            read_graph_json(path)
+
+    def test_integer_values_are_numbers(self):
+        data = self.good_dict()
+        data["vertices"][0]["mu"] = 1
+        data["vertices"][2]["kappa"] = 0
+        data["edges"][0]["c"] = 1
+        graph = graph_from_json_dict(data)
+        assert graph.vertex_weights[0] == 1.0 and graph.killing[2] == 0.0
+        assert graph.conductances[0, 1] == graph.conductances[1, 0] == 1.0
+
+    @pytest.mark.parametrize(
+        "edge_header, vertex_header",
+        [("# scale 4\n", "# scale 1\n"), ("", "# scale 2.0\n"), ("# scale 2.0\n", "")],
+        ids=["4-against-1", "no-edge-header", "no-vertex-header"],
+    )
+    def test_edge_and_vertex_scales_must_agree(self, edge_header, vertex_header, tmp_path):
+        # The edge file's header used to be discarded, so the vertex file's
+        # scale (1.0 when absent) won silently.
+        edges, vertices = self.write_tables(tmp_path, self.good_dict())
+        for path, header in ((edges, edge_header), (vertices, vertex_header)):
+            path.write_text(header + path.read_text().split("\n", 1)[1])
+        with pytest.raises(ValueError, match="scale: the edge file has"):
+            read_edge_list(edges, vertices)
+
+    def test_equal_scales_may_be_spelled_differently(self, tmp_path):
+        edges, vertices = self.write_tables(tmp_path, self.good_dict())
+        edges.write_text("# scale 2\n" + edges.read_text().split("\n", 1)[1])
+        assert read_edge_list(edges, vertices).scale == 2.0
+
     @pytest.mark.parametrize("table", ["vertices", "edges"])
     @pytest.mark.parametrize("row", ["1 2", "1 2 0.5 7"])
     def test_text_rows_need_three_fields(self, table, row, tmp_path):
@@ -573,6 +746,17 @@ class TestReaderValidation:
         path, kind = (vertices, "vertex") if table == "vertices" else (edges, "edge")
         path.write_text(path.read_text() + row + "\n")
         with pytest.raises(ValueError, match=f"{kind} row: invalid literal"):
+            read_edge_list(edges, vertices)
+
+    @pytest.mark.parametrize(
+        "table, row", [("vertices", "1 null 0"), ("vertices", "1 1 true"), ("edges", "0 1 true")]
+    )
+    def test_text_values_must_be_numbers(self, table, row, tmp_path):
+        # JSON's null and true are no numbers in the float columns either.
+        edges, vertices = self.write_tables(tmp_path, self.good_dict())
+        path, kind = (vertices, "vertex") if table == "vertices" else (edges, "edge")
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(ValueError, match=f"{kind} row: could not convert"):
             read_edge_list(edges, vertices)
 
     @pytest.mark.parametrize(
