@@ -64,7 +64,6 @@ from .convergence import (
     default_test_battery,
     eventually_nonincreasing,
     iterated_limit_sweep,
-    monotonicity_audit,
     resolvent_error,
     stage_resolvent,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "iterated_limit_sweep",
     "level_partition",
     "load_spectral_table",
-    "monotonicity_audit",
     "neumann_model",
     "random_kernel_model",
     "read_edge_list",

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .convergence import SweepGrid
 from .errors import ConfigError
-from .pipeline import N_MAX, StageIndex
+from .pipeline import K_MAX, N_MAX, StageIndex
 
 SCHEMA_VERSION = 1
 
@@ -151,7 +151,7 @@ def _export_axis(value, path: str) -> tuple:
         n = _as_int(item[0], f"{here}[0]", low=0, high=N_MAX)
         m = _as_int(item[1], f"{here}[1]", low=1)
         l = _as_int(item[2], f"{here}[2]", low=1)
-        k = _as_int(item[3], f"{here}[3]", low=0)
+        k = _as_int(item[3], f"{here}[3]", low=0, high=K_MAX)
         try:
             out.append(StageIndex(n, m, l, k))
         except ValueError as exc:
@@ -214,7 +214,7 @@ def config_from_dict(data) -> ExperimentConfig:
         grid_n = _int_axis(_get(grid, "n", "grid.n"), "grid.n", low=0, high=N_MAX)
         grid_m = _int_axis(_get(grid, "m", "grid.m"), "grid.m", low=1)
         grid_l = _int_axis(grid["l"], "grid.l", low=1) if "l" in grid else None
-        grid_k = _int_axis(grid["k"], "grid.k", low=0) if "k" in grid else None
+        grid_k = _int_axis(grid["k"], "grid.k", low=0, high=K_MAX) if "k" in grid else None
         if grid_k is not None and grid_l is None:
             raise ConfigError("grid.k: partition levels need grid.l alongside them")
 

@@ -28,7 +28,7 @@ import scipy
 from .errors import SolverError
 from .measure import OrthonormalBasis
 from .models import SpectralModel
-from .pipeline import Stage, StageForm, StageIndex, semigroup_form
+from .pipeline import Stage, StageForm, StageIndex
 
 # Residual guard for the resolvent solves, relative to ||f||.
 RESIDUAL_TOL = 1e-9
@@ -167,27 +167,24 @@ class ConvergenceRecord:
     wall_ms: float = 0.0
 
 
-def _records_for_index(
+def _records_for_stage(
     model: SpectralModel,
-    basis: OrthonormalBasis,
-    index: StageIndex,
+    stage: Stage,
     battery: Sequence[TestVector],
     stack: np.ndarray,
     exacts: np.ndarray,
     exact_resolvents: Sequence[tuple[float, np.ndarray]],
-    record_timings: bool,
+    started: float | None,
 ) -> list[ConvergenceRecord]:
-    started = time.perf_counter()
-    stage = Stage(model, basis, index)
     forms = np.atleast_1d(stage.form(stack))
     errors = []
     for lam, exact in exact_resolvents:
         approx = stage_resolvent(stage.form_data, lam, stack)
         errors.append((lam, np.atleast_1d(model.space.norm(approx - exact))))
-    wall_ms = (time.perf_counter() - started) * 1e3 if record_timings else 0.0
+    wall_ms = 0.0 if started is None else (time.perf_counter() - started) * 1e3
     return [
         ConvergenceRecord(
-            index=index,
+            index=stage.index,
             lam=float(lam),
             vector_name=vec.name,
             resolvent_error=float(per_vector[v]),
@@ -212,31 +209,40 @@ def iterated_limit_sweep(
 
     The model side does not depend on the stage, so the exact form and
     the exact resolvent of each lambda are computed once for the sweep.
+    The stage projection does not depend on n, so it is built once per
+    (m, l, k) and every n of that group reuses it through ``Stage.at``;
+    a record's ``wall_ms`` covers its own level, and the first level of
+    a group also the shared projection build.
     """
     _check_unique_names(battery)
     stack = np.stack([vec.values for vec in battery])
     exacts = np.atleast_1d(model.exact_form(stack))
     exact_resolvents = [(lam, model.exact_resolvent(lam, stack)) for lam in lambdas]
-    return [
-        record
-        for ix in schedule.indices()
-        for record in _records_for_index(
-            model, basis, ix, battery, stack, exacts, exact_resolvents, record_timings
-        )
-    ]
+    indices = schedule.indices()
+    groups: dict[tuple, list[int]] = {}
+    for position, ix in enumerate(indices):
+        groups.setdefault((ix.m, ix.l, ix.k), []).append(position)
+    by_position: list[list[ConvergenceRecord]] = [[] for _ in indices]
+    for positions in groups.values():
+        # Dropping the previous group first keeps one projection alive.
+        stage = None
+        for position in positions:
+            ix = indices[position]
+            started = time.perf_counter() if record_timings else None
+            stage = Stage(model, basis, ix) if stage is None else stage.at(ix.n)
+            by_position[position] = _records_for_stage(
+                model, stage, battery, stack, exacts, exact_resolvents, started
+            )
+    return [record for records in by_position for record in records]
 
 
-def eventually_nonincreasing(
-    values: Sequence[float],
-    activation_ratio: float = 0.5,
-    step_slack: float = 0.05,
-) -> tuple[bool, int | None]:
+def eventually_nonincreasing(values: Sequence[float]) -> tuple[bool, int | None]:
     """The operational reading of "eventually nonincreasing".
 
     Pre-asymptotic wiggle is tolerated: monotonicity is only enforced
-    from the first entry at or below ``activation_ratio`` times the
-    initial value, and each later step may grow by ``step_slack``
-    relatively (plus a 1e-14 absolute floor for noise around zero).
+    from the first entry at or below half the initial value, and each
+    later step may grow by 5 % relatively (plus a 1e-14 absolute floor
+    for noise around zero).
     Returns (verdict, first offending position or None).  A sequence
     that never activates passes vacuously.
     """
@@ -245,64 +251,25 @@ def eventually_nonincreasing(
         raise ValueError("empty sequence")
     start = None
     for i, v in enumerate(values):
-        if v <= activation_ratio * values[0]:
+        if v <= 0.5 * values[0]:
             start = i
             break
     if start is None:
         return True, None
     for i in range(start, len(values) - 1):
-        if values[i + 1] > values[i] * (1.0 + step_slack) + 1e-14:
+        if values[i + 1] > values[i] * 1.05 + 1e-14:
             return False, i + 1
     return True, None
 
 
 # ---------------------------------------------------------------------------
-# checks and audits
+# the convergence proxy
 # ---------------------------------------------------------------------------
 
 MOSCO_PROXY_NOTE = (
     "variational lower-bound condition not machine-checkable; "
     "strong resolvent convergence used as the operational proxy"
 )
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    levels: tuple[int, ...]
-    values: tuple[float, ...]
-    worst_drop: float
-    offenders: tuple[int, ...]
-
-    @property
-    def nondecreasing(self) -> bool:
-        return not self.offenders
-
-
-def monotonicity_audit(
-    model: SpectralModel, f: np.ndarray, levels: Sequence[int]
-) -> MonotonicityReport:
-    """Check that (1/t) <f - P_t f, f> grows as t halves along 2^-n.
-
-    Allows 1e-12 slack per step; offenders list the levels whose value
-    dropped below the previous one beyond slack.
-    """
-    levels = tuple(int(n) for n in levels)
-    if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ValueError("levels must be strictly increasing, length >= 2")
-    values = [float(semigroup_form(model, n, f)) for n in levels]
-    offenders = []
-    worst = 0.0
-    for i in range(len(values) - 1):
-        drop = values[i] - values[i + 1]
-        if drop > 1e-12:
-            offenders.append(levels[i + 1])
-            worst = max(worst, drop)
-    return MonotonicityReport(
-        levels=levels,
-        values=tuple(values),
-        worst_drop=worst,
-        offenders=tuple(offenders),
-    )
 
 
 # ---------------------------------------------------------------------------

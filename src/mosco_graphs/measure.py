@@ -114,8 +114,8 @@ class AmbientSpace:
         f = np.asarray(f, dtype=float)
         return np.sqrt(self.inner(f, f))
 
-    def constant(self, value: float = 1.0) -> np.ndarray:
-        return np.full(self.size, float(value))
+    def constant(self) -> np.ndarray:
+        return np.ones(self.size)
 
     # -- exhaustion --------------------------------------------------------
 
@@ -135,14 +135,14 @@ class AmbientSpace:
         return mask
 
 
-def uniform_interval_space(resolution: int, n_levels: int = 4) -> AmbientSpace:
+def uniform_interval_space(resolution: int) -> AmbientSpace:
     """Midpoint grid on [0, 1] with uniform weights and a left-to-right
-    exhaustion in ``n_levels`` equal slabs."""
+    exhaustion in four equal slabs."""
     if resolution < 1:
         raise ValueError("resolution must be positive")
     points = (np.arange(resolution) + 0.5) / resolution
     weights = np.full(resolution, 1.0 / resolution)
-    return AmbientSpace(points, weights, exhaustion_slabs(resolution, n_levels))
+    return AmbientSpace(points, weights, exhaustion_slabs(resolution))
 
 
 def exhaustion_slabs(size: int, levels: int = 4) -> tuple[np.ndarray, ...]:
@@ -297,12 +297,11 @@ class CellPartition:
         out.setflags(write=False)
         return out
 
-    @cached_property
+    @property
     def indicator_matrix(self) -> np.ndarray:
-        """(n_cells, size) 0/1 matrix of cell indicators."""
+        """(n_cells, size) 0/1 matrix of cell indicators, built per call."""
         out = np.zeros((self.n_cells, self.size))
         out[self.cell_of[self.support], self.support] = 1.0
-        out.setflags(write=False)
         return out
 
     @cached_property
@@ -373,11 +372,6 @@ class StepFunction:
         on = self.partition.support
         out[on] = self.coefficients[self.partition.cell_of[on]]
         return out
-
-    @property
-    def norm_sq(self) -> float:
-        """Squared weighted L2 norm, computed from cell masses."""
-        return float(np.sum(self.coefficients**2 * self.partition.masses))
 
 
 def condition_on_partition(

@@ -91,9 +91,6 @@ class SpectralModel:
     def coefficients(self, f: np.ndarray) -> np.ndarray:
         return self.basis.coefficients(f)
 
-    def span_project(self, f: np.ndarray) -> np.ndarray:
-        return self.basis.synthesize(self.coefficients(f))
-
     def decay(self, t: float) -> np.ndarray:
         """Per-mode 1 - exp(-lambda t), via expm1 so it stays accurate for
         small t; 1 on infinite eigenvalues."""

@@ -24,8 +24,8 @@ with a Galerkin step and on the spectral span for the bare-n stage.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+import copy
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,6 +42,9 @@ SYM_TOL = 1e-10
 
 # Deepest dyadic level: 2^n must stay a finite float.
 N_MAX = 1023
+
+# Finest level-set resolution: the overflow label -4**k - 1 must fit int64.
+K_MAX = 31
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +81,8 @@ class StageIndex:
             raise ValueError(f"l must be >= 1, got {self.l}")
         if self.k is not None and self.l is None:
             raise ValueError("k requires l (conditioning applies to a masked stage)")
-        if self.k is not None and self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k}")
+        if self.k is not None and not 0 <= self.k <= K_MAX:
+            raise ValueError(f"k must be in 0..{K_MAX}, got {self.k}")
 
     def validate_for(self, model: SpectralModel, basis: OrthonormalBasis) -> None:
         if basis.space is not model.space:
@@ -154,8 +157,8 @@ def level_partition(basis: OrthonormalBasis, m: int, k: int) -> CellPartition:
     """
     if not 1 <= m <= basis.n_vectors:
         raise DimensionMismatch(f"m must be in 1..{basis.n_vectors}, got {m}")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    if not 0 <= k <= K_MAX:
+        raise ValueError(f"k must be in 0..{K_MAX}, got {k}")
     values = basis.vectors[:m]
     window = 2.0**k
     labels = np.ceil(values * window).astype(np.int64) - 1
@@ -184,15 +187,14 @@ class StageForm:
 
     ``matrix`` is the generator of the stage form in the orthonormal
     coordinates given by the rows of ``subspace``: symmetric, negative
-    semidefinite, with operator norm at most twice ``bound`` = 2^n.  Off
-    the subspace the generator acts as zero.
+    semidefinite, with operator norm at most 2^(n+1).  Off the subspace
+    the generator acts as zero.
     """
 
     index: StageIndex
     matrix: np.ndarray
     subspace: np.ndarray
     space: AmbientSpace
-    bound: float
 
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=float, copy=True)
@@ -232,24 +234,21 @@ class StageForm:
         out = -np.einsum("...p,pq,...q->...", c, self.matrix, c)
         return float(out) if np.ndim(out) == 0 else out
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """L f as an ambient vector (zero off the subspace)."""
-        return self.coefficients(f) @ self.matrix @ self.subspace
-
 
 class Stage:
     """One assembled approximation stage for a model, basis, and index.
 
     Bundles the composed projection, the stage form, and the generator.
-    The projection images S_i of the subspace basis vectors are computed
-    once; the generator matrix is A_ij = -2^n <(I - P_t) S_j, S_i>.
+    The projection images S_i of the subspace basis vectors do not depend
+    on n and are computed once; the generator matrix
+    A_ij = -2^n <(I - P_t) S_j, S_i> is assembled per n, and ``at`` gives
+    the same projection at another level without rebuilding it.
     """
 
     def __init__(self, model: SpectralModel, basis: OrthonormalBasis, index: StageIndex):
         index.validate_for(model, basis)
         self.model = model
         self.basis = basis
-        self.index = index
         space = model.space
 
         self.partition: CellPartition | None = None
@@ -266,31 +265,43 @@ class Stage:
                 partition = stage_partition(basis, index)
                 self.partition = partition
                 # Conditional expectation: average the masked images over
-                # each cell, then spread the averages back out.
+                # each cell, then spread the averages back out by a gather.
+                # The gather equals the product with the indicators bit for
+                # bit and is C-ordered, which later products rely on: they
+                # round differently on an F-ordered array.
                 cell_avg = (
                     images @ (partition.indicator_matrix * space.weights).T
                 ) / partition.masses
-                images = cell_avg @ partition.indicator_matrix
+                cell_of = partition.cell_of
+                images = np.where(cell_of >= 0, np.take(cell_avg, cell_of, axis=1), 0.0)
+            self._image_modes = model.coefficients(images)
+            self._off_span = images - model.basis.synthesize(self._image_modes)
         self.subspace = subspace
         self.images = images
+        self._assemble(index)
 
-        decay = model.decay(index.time)
+    def _assemble(self, index: StageIndex) -> None:
+        """Set the index and build the generator matrix at its level n."""
+        self.index = index
+        decay = self.model.decay(index.time)
         if index.m is None:
             matrix = np.diag(-index.bound * decay)
         else:
-            c_img = model.coefficients(images)
-            off = images - model.basis.synthesize(c_img)
             # (I - P_t) images, assembled mode by mode: accurate at any n.
-            diffed = model.basis.synthesize(c_img * decay) + off
-            cross = np.einsum("pi,i,qi->pq", images, space.weights, diffed)
+            diffed = self.model.basis.synthesize(self._image_modes * decay) + self._off_span
+            cross = np.einsum(
+                "pi,i,qi->pq", self.images, self.model.space.weights, diffed
+            )
             matrix = -index.bound * (cross + cross.T) / 2.0
         self.form_data = StageForm(
-            index=index,
-            matrix=matrix,
-            subspace=subspace,
-            space=space,
-            bound=index.bound,
+            index=index, matrix=matrix, subspace=self.subspace, space=self.model.space
         )
+
+    def at(self, n: int) -> "Stage":
+        """The same projection at dyadic level n; the arrays are shared."""
+        stage = copy.copy(self)
+        stage._assemble(replace(self.index, n=n))
+        return stage
 
     # -- the composed projection ------------------------------------------
 

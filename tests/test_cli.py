@@ -110,6 +110,30 @@ class TestConfigValidation:
         assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
         assert re.search(needle, capsys.readouterr().err)
 
+    @pytest.mark.parametrize(
+        "command, field, value, needle",
+        [
+            (
+                "run",
+                "grid",
+                {"n": [2], "m": [4], "l": [2], "k": [2, 32]},
+                r"grid\.k\[1\]: 32 is above the maximum 31",
+            ),
+            ("export-graph", "graph_exports", [[4, 8, 4, 32]], r"graph_exports\[0\]\[3\]: 32"),
+        ],
+        ids=["grid.k", "graph_exports"],
+    )
+    def test_level_set_resolutions_beyond_int64_labels_are_refused(
+        self, tmp_path, capsys, command, field, value, needle
+    ):
+        # The overflow cell label -4**k - 1 leaves int64 from k = 32 on.
+        data = minimal_dict(tmp_path / "out")
+        data[field] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert re.search(needle, capsys.readouterr().err)
+
     @pytest.mark.parametrize("command", ["run", "export-graph"])
     def test_unknown_or_malformed_model_is_a_config_error(self, tmp_path, capsys, command):
         table = tmp_path / "table.txt"
@@ -239,7 +263,7 @@ class TestExportCommand:
 
     def test_bad_index_strings(self, run_artifacts, tmp_path, capsys):
         cfg_path, _ = run_artifacts
-        for bad in ("4,6,2", "4,six,2,2", "1100,2,1,1"):
+        for bad in ("4,6,2", "4,six,2,2", "1100,2,1,1", "4,8,4,32"):
             code = cli.main(
                 [
                     "export-graph",
@@ -333,3 +357,11 @@ def test_only_a_resolvent_solve_loads_scipy_linalg(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == [False, False, True]
+
+
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from mosco_graphs import *", namespace)
+    names = mosco_graphs.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if name not in namespace] == []

@@ -16,14 +16,14 @@ from mosco_graphs import (
     default_test_battery,
     eventually_nonincreasing,
     iterated_limit_sweep,
-    monotonicity_audit,
     neumann_model,
     resolvent_error,
+    semigroup_form,
     stage_generator,
     stage_resolvent,
     uniform_interval_space,
 )
-from mosco_graphs import convergence
+from mosco_graphs import convergence, pipeline
 
 
 class TestStageResolvent:
@@ -35,7 +35,6 @@ class TestStageResolvent:
             matrix=np.zeros((4, 4)),
             subspace=basis.vectors,
             space=space,
-            bound=1.0,
         )
         rng = np.random.default_rng(61)
         f = rng.standard_normal(32)
@@ -50,7 +49,6 @@ class TestStageResolvent:
             matrix=np.diag([-1.0, -3.0]),
             subspace=basis.vectors,
             space=space,
-            bound=2.0,
         )
         lam = 2.0
         for mode, d in ((0, 1.0), (1, 3.0)):
@@ -65,7 +63,6 @@ class TestStageResolvent:
             matrix=np.zeros((2, 2)),
             subspace=basis.vectors,
             space=space,
-            bound=1.0,
         )
         for lam in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="lambda"):
@@ -111,7 +108,7 @@ class TestResolventError:
     def test_off_span_mass_cancels_exactly(self, neumann_small):
         rng = np.random.default_rng(65)
         f = rng.standard_normal(256)
-        f -= neumann_small.span_project(f)
+        f -= neumann_small.basis.synthesize(neumann_small.coefficients(f))
         sf = stage_generator(neumann_small, neumann_small.basis, StageIndex(8))
         errs = resolvent_error(
             neumann_small, sf, ResolventProbe(1.0, (TestVector("perp", f),))
@@ -237,34 +234,27 @@ class TestMaskLevelDirection:
 
 
 class TestMonotonicityAudit:
+    """2^n <f - P_{2^-n} f, f> grows with n: the dyadic forms are monotone."""
+
+    @staticmethod
+    def values(model, f, levels):
+        return [float(semigroup_form(model, n, f)) for n in levels]
+
     def test_eigenvector_values_climb_strictly(self, neumann_small):
-        report = monotonicity_audit(
-            neumann_small, neumann_small.basis.vectors[3], range(0, 12)
-        )
-        assert report.nondecreasing
-        assert report.offenders == ()
-        assert all(b > a for a, b in zip(report.values, report.values[1:]))
+        values = self.values(neumann_small, neumann_small.basis.vectors[3], range(0, 12))
+        assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_constant_stays_at_zero(self, neumann_small):
-        report = monotonicity_audit(
-            neumann_small, neumann_small.space.constant(), (0, 4, 8)
-        )
-        assert report.nondecreasing
-        assert report.worst_drop == 0.0
-        assert max(abs(v) for v in report.values) <= 1e-12
+        values = self.values(neumann_small, neumann_small.space.constant(), (0, 4, 8))
+        assert all(a - b <= 1e-12 for a, b in zip(values, values[1:]))
+        assert max(abs(v) for v in values) <= 1e-12
 
     def test_random_span_vectors_pass(self, neumann_small):
         rng = np.random.default_rng(73)
         for _ in range(5):
             f = neumann_small.basis.synthesize(rng.standard_normal(16))
-            report = monotonicity_audit(neumann_small, f, range(0, 10))
-            assert report.nondecreasing, report
-
-    def test_level_validation(self, neumann_small):
-        f = neumann_small.basis.vectors[1]
-        for bad in ((3,), (3, 3), (5, 2)):
-            with pytest.raises(ValueError):
-                monotonicity_audit(neumann_small, f, bad)
+            values = self.values(neumann_small, f, range(0, 10))
+            assert all(a - b <= 1e-12 for a, b in zip(values, values[1:])), values
 
 
 class TestSweep:
@@ -305,23 +295,48 @@ class TestSweep:
 
     def test_records_equal_resolvent_error_bit_for_bit(self, neumann_small):
         # The sweep and resolvent_error share one batched stage_resolvent
-        # and one exact resolvent per lambda, so not a bit may differ.
+        # and one exact resolvent per lambda, and a projection reused at
+        # another n is the projection built there, so not a bit may differ.
         model = neumann_small
         battery = default_test_battery(model, model.basis, np.random.default_rng(7))
-        grid = SweepGrid(n=(2, 6, 12), m=(4, 16), l=(2, 4), k=(2, 8))
-        records = iterated_limit_sweep(
-            model, model.basis, grid, battery, lambdas=(1.0, 2.0)
-        )
-        assert len(records) == 720
-        expected = {}
-        for ix in grid.indices():
-            sf = stage_generator(model, model.basis, ix)
-            for lam in (1.0, 2.0):
-                errs = resolvent_error(model, sf, ResolventProbe(lam, battery))
-                for name, err in errs.items():
-                    expected[ix, lam, name] = err
-        for r in records:
-            assert r.resolvent_error == expected[r.index, r.lam, r.vector_name], r
+        stack = np.stack([vec.values for vec in battery])
+        for grid, size in (
+            (SweepGrid(n=(2, 6, 12), m=(4, 16), l=(2, 4), k=(2, 8)), 720),
+            (SweepGrid(n=(0, 3, 9)), 90),
+        ):
+            records = iterated_limit_sweep(
+                model, model.basis, grid, battery, lambdas=(1.0, 2.0)
+            )
+            assert len(records) == size
+            expected = {}
+            for ix in grid.indices():
+                stage = Stage(model, model.basis, ix)
+                forms = stage.form(stack)
+                for lam in (1.0, 2.0):
+                    errs = resolvent_error(model, stage.form_data, ResolventProbe(lam, battery))
+                    for v, vec in enumerate(battery):
+                        expected[ix, lam, vec.name] = (errs[vec.name], forms[v])
+            for r in records:
+                got = (r.resolvent_error, r.form_value)
+                assert got == expected[r.index, r.lam, r.vector_name], r
+
+    def test_one_projection_build_per_m_l_k(self, neumann_small, monkeypatch):
+        # The benchmark's run grid: 96 points over 16 distinct (m, l, k).
+        built = []
+        original = pipeline.Stage.__init__
+
+        def counting(self, model, basis, index):
+            built.append(index)
+            original(self, model, basis, index)
+
+        monkeypatch.setattr(pipeline.Stage, "__init__", counting)
+        model = neumann_small
+        battery = [TestVector("a", model.basis.vectors[1])]
+        grid = SweepGrid(n=(2, 4, 6, 8, 10, 12), m=(2, 4, 8, 16), l=(2, 4), k=(2, 8))
+        records = iterated_limit_sweep(model, model.basis, grid, battery)
+        assert len(records) == 96
+        assert len(built) == 16
+        assert len({(ix.m, ix.l, ix.k) for ix in built}) == 16
 
     def test_repeated_vector_names_are_refused(self):
         # resolvent_error keys its result by name, so a repeat would merge

@@ -177,9 +177,6 @@ class TestExtractionGuards:
         part = CellPartition.singletons(space)
         with pytest.raises(ValueError, match="positivity"):
             extract_graph(lambda F: -1e-6 * F, part, space)
-        # A wider band turns the same operator into a clip.
-        graph = extract_graph(lambda F: -1e-6 * F, part, space, clamp_tol=1e-5)
-        assert np.min(graph.conductances) == 0.0
 
 
 def einsum_extract_graph(operator, partition, space, scale=1.0):
@@ -308,18 +305,7 @@ class TestIdentification:
         for conservative in (True, False):
             for sites in (2, 5, 17):
                 kernel = random_kernel_model(sites, rng, conservative=conservative)
-                report = verify_identification(kernel, n_functions=40, seed=3)
-                assert report.passed, report.summary()
-                assert report.max_residual <= 1e-12
-
-    def test_coarse_partitions_work_too(self):
-        rng = np.random.default_rng(45)
-        kernel = random_kernel_model(12, rng, conservative=True)
-        cells = [np.arange(0, 4), np.arange(4, 5), np.arange(5, 12)]
-        part = CellPartition.from_cells(kernel.space, cells)
-        report = verify_identification(kernel, partition=part, n_functions=40)
-        assert report.passed
-        assert report.n_cells == 3
+                assert verify_identification(kernel, seed=3) <= 1e-12
 
     def test_conservative_kernels_balance_columns(self):
         rng = np.random.default_rng(47)
@@ -330,12 +316,6 @@ class TestIdentification:
         assert graph.is_conservative
         colsums = graph.conductances.sum(axis=0)
         assert np.max(np.abs(colsums - graph.vertex_weights)) <= 1e-10
-
-    def test_report_flags_failures_without_raising(self):
-        kernel = two_site_kernel([[0.5, 0.5], [0.5, 0.5]])
-        report = verify_identification(kernel, n_functions=5, tol=1e-30)
-        assert not report.passed
-        assert "FAILED" in report.summary()
 
 
 class TestChainGraphs:
@@ -678,6 +658,23 @@ class TestReaderValidation:
         data["edges"][0]["j"] = 1.0
         with pytest.raises(ValueError, match="edge j"):
             graph_from_json_dict(data)
+
+    @pytest.mark.parametrize(
+        "table, entry, field", [("vertices", 1, "id"), ("edges", 0, "i"), ("edges", 1, "j")]
+    )
+    def test_json_ids_and_endpoints_refuse_booleans(self, table, entry, field, tmp_path):
+        # numpy reads true among integers as 1, so each of these used to
+        # read as vertex 1, and the edges as a (1, 1) loop.
+        data = self.good_dict()
+        data[table][entry][field] = True
+        name = "vertex" if table == "vertices" else "edge"
+        needle = f"{name} {field}: values must be integers, found bool"
+        with pytest.raises(ValueError, match=needle):
+            graph_from_json_dict(data)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=needle):
+            read_graph_json(path)
 
     def test_non_finite_vertex_values_rejected(self):
         data = self.good_dict()

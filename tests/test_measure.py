@@ -98,14 +98,6 @@ class TestStepFunctions:
         sf = StepFunction(part, np.array([2.0, -1.0]))
         assert np.array_equal(sf.expand(), np.array([2.0, -1.0, 2.0]))
 
-    def test_norm_identity(self):
-        space = uniform_interval_space(64)
-        rng = np.random.default_rng(11)
-        cells = np.array_split(rng.permutation(64), 7)
-        part = CellPartition.from_cells(space, [np.sort(c) for c in cells])
-        sf = StepFunction(part, rng.standard_normal(part.n_cells))
-        assert sf.norm_sq == pytest.approx(space.norm(sf.expand()) ** 2, rel=1e-12)
-
     def test_coefficient_count_enforced(self):
         space = uniform_interval_space(4)
         part = CellPartition.from_cells(space, [np.array([0, 1]), np.array([2, 3])])

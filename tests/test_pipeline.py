@@ -42,6 +42,12 @@ class TestStageIndex:
         with pytest.raises(ValueError):
             StageIndex(2, 0)
 
+    def test_k_beyond_31_is_refused(self):
+        # The overflow cell label -4**k - 1 must fit an int64.
+        assert StageIndex(4, 8, 4, 31).k == 31
+        with pytest.raises(ValueError, match="k must be in 0..31, got 32"):
+            StageIndex(4, 8, 4, 32)
+
     def test_labels_and_bounds(self):
         ix = StageIndex(4, 8, 2, 3)
         assert ix.label() == "n4_m8_l2_k3"
@@ -94,7 +100,7 @@ class TestSemigroupForm:
         model = neumann_model(128, 4)
         rng = np.random.default_rng(23)
         f = rng.standard_normal(128)
-        f_perp = f - model.span_project(f)
+        f_perp = f - model.basis.synthesize(model.coefficients(f))
         n = 7
         expected = 2.0**n * model.space.inner(f_perp, f_perp)
         assert semigroup_form(model, n, f_perp) == pytest.approx(expected, rel=1e-12)
@@ -164,6 +170,12 @@ class TestLevelPartition:
         part = level_partition(model.basis, 1, 1)
         assert part.n_cells == 1
         assert part.masses[0] == pytest.approx(1.0)
+
+    def test_k_beyond_31_is_refused(self):
+        model = neumann_model(64, 4)
+        assert level_partition(model.basis, 4, 31).level == 31
+        with pytest.raises(ValueError, match="k must be in 0..31, got 32"):
+            level_partition(model.basis, 4, 32)
 
     def test_half_open_windows_and_tails(self):
         # Weights chosen so the raw row is already unit norm, keeping the
@@ -301,7 +313,7 @@ class TestStageGenerators:
         model = birth_death_model(sites=32)
         top = model.space.l_max
         sf = stage_generator(model, model.basis, StageIndex(4, 8, top, 2))
-        image = sf.apply(model.space.constant())
+        image = sf.coefficients(model.space.constant()) @ sf.matrix @ sf.subspace
         assert model.space.norm(image) <= 1e-10
         clipped = stage_generator(model, model.basis, StageIndex(4, 8, 2, 2))
         assert clipped.quad_form(model.space.constant()) > 1e-6
@@ -327,13 +339,35 @@ class TestStageGenerators:
             semigroup_form(model, 4, f), rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "built, level",
+        [
+            (StageIndex(2), 9),
+            (StageIndex(4, 8), 0),
+            (StageIndex(6, 10, 2), 3),
+            (StageIndex(8, 12, 3, 3), 12),
+        ],
+        ids=["n", "n-m", "n-m-l", "n-m-l-k"],
+    )
+    def test_at_n_equals_a_fresh_stage(self, built, level):
+        # at(n) reuses the n-free projection; nothing it produces may
+        # differ by a bit from a stage built at n from scratch.
+        model = neumann_model(256, 16)
+        f = np.random.default_rng(41).standard_normal((3, 256))
+        moved = Stage(model, model.basis, built).at(level)
+        fresh = Stage(model, model.basis, StageIndex(level, built.m, built.l, built.k))
+        assert moved.index == fresh.index
+        assert np.array_equal(moved.form_data.matrix, fresh.form_data.matrix)
+        assert np.array_equal(moved.images, fresh.images)
+        assert np.array_equal(moved.form(f), fresh.form(f))
+
     def test_construction_guards(self):
         space = uniform_interval_space(8)
         basis = OrthonormalBasis.haar(space, 2)
         good = np.array([[-1.0, 0.0], [0.0, -2.0]])
         StageForm(
             index=StageIndex(0, 2), matrix=good, subspace=basis.vectors,
-            space=space, bound=1.0,
+            space=space,
         )
         with pytest.raises(ValueError, match="asymmetry"):
             StageForm(
@@ -341,7 +375,6 @@ class TestStageGenerators:
                 matrix=np.array([[-1.0, 0.5], [0.0, -2.0]]),
                 subspace=basis.vectors,
                 space=space,
-                bound=1.0,
             )
         with pytest.raises(ValueError, match="semidefinite"):
             StageForm(
@@ -349,7 +382,6 @@ class TestStageGenerators:
                 matrix=np.array([[1.0, 0.0], [0.0, -2.0]]),
                 subspace=basis.vectors,
                 space=space,
-                bound=1.0,
             )
         with pytest.raises(DimensionMismatch):
             StageForm(
@@ -357,5 +389,4 @@ class TestStageGenerators:
                 matrix=np.zeros((3, 3)),
                 subspace=basis.vectors,
                 space=space,
-                bound=1.0,
             )
