@@ -209,7 +209,8 @@ def audit_conditioning(
     idem = 0.0
     for _ in range(20):
         f = rng.standard_normal(space.size)
-        restrict = space.exhaustion_set(rng.integers(1, space.l_max + 1))
+        l = rng.integers(1, space.l_max + 1)
+        restrict = space.exhaustion_set(l)
         sf = condition_on_partition(f, part, space, restrict_to=restrict)
         g = sf.expand()
         masked = np.zeros_like(f)
@@ -217,12 +218,7 @@ def audit_conditioning(
         contraction = max(contraction, space.norm(g) - space.norm(masked))
         resid = masked - g
         # <resid, 1_{cell & restrict}> for every cell at once.
-        sites = restrict[part.cell_of[restrict] >= 0]
-        cell_inner = np.bincount(
-            part.cell_of[sites],
-            weights=resid[sites] * space.weights[sites],
-            minlength=part.n_cells,
-        )
+        cell_inner = part.cell_sums(resid * space.weights * space.exhaustion_mask(l))
         ortho = max(ortho, float(np.abs(cell_inner).max()))
         again = condition_on_partition(g, part, space, restrict_to=restrict)
         idem = max(idem, float(np.abs(again.expand() - g).max()))
@@ -269,21 +265,15 @@ def audit_cell_oscillation(basis: OrthonormalBasis, ms, ks) -> AuditResult:
 
 def audit_partition_refinement(basis: OrthonormalBasis, ms, ks) -> AuditResult:
     """Each finer cell sits inside exactly one coarser cell."""
-    space = basis.space
     pairs = 0
     broken = 0
     parts = {(m, k): level_partition(basis, m, k) for m in ms for k in ks}
     for (m, k), coarse in parts.items():
-        owner = coarse.cell_of
         for (m2, k2), fine in parts.items():
             if m2 < m or k2 < k or (m2, k2) == (m, k):
                 continue
             pairs += 1
-            # Every site must share the coarse owner of its fine cell's
-            # first site.
-            on = fine.support
-            if np.any(owner[on] != owner[fine.first_sites][fine.cell_of[on]]):
-                broken += 1
+            broken += not fine.refines(coarse)
     return _result("partition-refinement", float(broken), 0.0, f"{pairs} grid pairs")
 
 

@@ -102,13 +102,11 @@ def stage_resolvent(stage: StageForm, lam: float, f: np.ndarray) -> np.ndarray:
     """
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lambda must be finite and positive, got {lam}")
-    f = np.asarray(f, dtype=float)
-    c = stage.coefficients(f)
+    c, complement = stage.space.split(stage.subspace, f)
     matrix = lam * np.eye(stage.dim) - stage.matrix
     rhs = c.reshape(-1, stage.dim).T
     u = scipy.linalg.solve(matrix, rhs, assume_a="pos").T.reshape(c.shape)
     _check_residual(stage, lam, u, c, f)
-    complement = f - c @ stage.subspace
     return u @ stage.subspace + complement / lam
 
 
@@ -126,6 +124,18 @@ def resolvent_error(
 # sweeps
 # ---------------------------------------------------------------------------
 
+def _grid_axis(name: str, values) -> tuple[int, ...]:
+    """The values of one grid axis as ints, refusing non-integers and
+    booleans, and values that repeat or decrease."""
+    values = tuple(values)
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"grid {name}: values must be integers, got {v!r}")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"grid {name}: values must be strictly increasing, got {values}")
+    return tuple(int(v) for v in values)
+
+
 @dataclass(frozen=True)
 class SweepGrid:
     """Nested index grid; iteration order is n, then m, then l, then k,
@@ -137,11 +147,10 @@ class SweepGrid:
     k: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n", tuple(int(v) for v in self.n))
-        for name in ("m", "l", "k"):
+        for name in ("n", "m", "l", "k"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, tuple(int(v) for v in value))
+                object.__setattr__(self, name, _grid_axis(name, value))
         if not self.n:
             raise ValueError("grid needs at least one n")
         if self.l is not None and self.m is None:

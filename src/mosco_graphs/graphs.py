@@ -117,14 +117,8 @@ def extract_graph(
     images = np.asarray(apply(partition.indicator_matrix), dtype=float)
     if images.shape != (partition.n_cells, partition.size):
         raise DimensionMismatch("operator changed the shape of indicator rows")
-    # c_ij = sum_x images_ix w_x over the sites x of cell j.  ``add.at``
-    # accumulates in site order, the order of a sequential sum over x, so
-    # the result equals the dense product with the 0/1 indicators bit for
-    # bit while skipping its zero terms.
-    on = partition.support
-    c = np.zeros((partition.n_cells, images.shape[0]))
-    np.add.at(c, partition.cell_of[on], (images[:, on] * space.weights[on]).T)
-    c = c.T
+    # c_ij = sum_x images_ix w_x over the sites x of cell j.
+    c = partition.cell_sums(images * space.weights)
     asym = float(np.max(np.abs(c - c.T)))
     if asym > EXTRACT_SYM_TOL * max(1.0, float(np.max(np.abs(c)))):
         raise SymmetryError(
@@ -386,6 +380,8 @@ def _json_columns(data: dict, key: str, table: str, fields) -> list[list]:
 
 
 def graph_from_json_dict(data: dict) -> WeightedGraph:
+    if not isinstance(data, dict):
+        raise ValueError(f"top level: expected a JSON object, found {type(data).__name__}")
     ids, mu, kappa = _json_columns(data, "vertices", "vertex", ("id", "mu", "kappa"))
     i, j, c = _json_columns(data, "edges", "edge", ("i", "j", "c"))
     return _graph_from_tables(ids, mu, kappa, i, j, c, scale=data.get("scale", 1.0))
@@ -425,9 +421,10 @@ def _read_table(path, kind: str, types) -> tuple[str | float, list[list]]:
     Returns the scale as written (1.0 without a header) and the columns
     converted by ``types``.  Blank lines and other comments are skipped.
     A row with another number of fields, or a token its column cannot
-    convert, is a ValueError naming ``kind``.
+    convert, is a ValueError naming ``kind``; a second header is a
+    ValueError naming ``scale``.
     """
-    scale = 1.0
+    scale = None
     tokens = []
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         fields = line.split()
@@ -436,6 +433,8 @@ def _read_table(path, kind: str, types) -> tuple[str | float, list[list]]:
         if fields[0].startswith("#"):
             parts = line.strip()[1:].split()
             if len(parts) == 2 and parts[0] == "scale":
+                if scale is not None:
+                    raise ValueError(f"scale: the {kind} file repeats its # scale header")
                 scale = parts[1]
             continue
         if len(fields) != 3:
@@ -445,7 +444,7 @@ def _read_table(path, kind: str, types) -> tuple[str | float, list[list]]:
         columns = [list(map(convert, tokens[k::3])) for k, convert in enumerate(types)]
     except ValueError as exc:
         raise ValueError(f"{kind} row: {exc}") from None
-    return scale, columns
+    return 1.0 if scale is None else scale, columns
 
 
 def read_edge_list(edges_path, vertices_path) -> WeightedGraph:

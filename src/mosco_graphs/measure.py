@@ -114,6 +114,21 @@ class AmbientSpace:
         f = np.asarray(f, dtype=float)
         return np.sqrt(self.inner(f, f))
 
+    def coefficients(self, rows: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """Weighted inner products <f, row_k> against every row; batched over f."""
+        f = np.asarray(f, dtype=float)
+        if f.shape[-1] != self.size:
+            raise DimensionMismatch(
+                f"expected last axis {self.size}, got {f.shape[-1]}"
+            )
+        return np.einsum("km,m,...m->...k", rows, self.weights, f)
+
+    def split(self, rows: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients of f against orthonormal rows, and the rest of f off their span."""
+        f = np.asarray(f, dtype=float)
+        c = self.coefficients(rows, f)
+        return c, f - c @ rows
+
     def constant(self) -> np.ndarray:
         return np.ones(self.size)
 
@@ -339,6 +354,28 @@ class CellPartition:
             level=self.level,
         )
 
+    def average(self, space: AmbientSpace, f: np.ndarray) -> np.ndarray:
+        """Weighted cell averages of f; batched over leading axes."""
+        return ((f * space.weights) @ self.indicator_matrix.T) / self.masses
+
+    def spread(self, values: np.ndarray) -> np.ndarray:
+        """Per-cell values spread back to the sites, zero off the support; batched.
+
+        C-ordered, which later products rely on: they round differently on
+        an F-ordered array.
+        """
+        return np.where(self.cell_of >= 0, np.take(values, self.cell_of, axis=-1), 0.0)
+
+    def cell_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-cell sums over the last axis of site values, in site order; batched.
+
+        Equal bit for bit to a sequential sum over the sites of each cell.
+        """
+        on = self.support
+        out = np.zeros((self.n_cells,) + values.shape[:-1])
+        np.add.at(out, self.cell_of[on], np.moveaxis(values[..., on], -1, 0))
+        return np.moveaxis(out, 0, -1)
+
     def refines(self, coarser: "CellPartition") -> bool:
         """True when every cell of self sits inside a single cell of ``coarser``
         and the supports agree."""
@@ -368,10 +405,7 @@ class StepFunction:
 
     def expand(self) -> np.ndarray:
         """Pointwise values on the full grid; zero off the support."""
-        out = np.zeros(self.partition.size)
-        on = self.partition.support
-        out[on] = self.coefficients[self.partition.cell_of[on]]
-        return out
+        return self.partition.spread(self.coefficients)
 
 
 def condition_on_partition(
@@ -395,8 +429,7 @@ def condition_on_partition(
     part = partition
     if restrict_to is not None:
         part = partition.restrict(space, restrict_to)
-    sums = part.indicator_matrix @ (f * space.weights)
-    return StepFunction(part, sums / part.masses)
+    return StepFunction(part, part.average(space, f))
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +455,8 @@ class OrthonormalBasis:
             )
         if vectors.shape[0] < 1:
             raise ValueError("basis needs at least one vector")
+        if not np.all(np.isfinite(vectors)):
+            raise ValueError("basis vectors must be finite")
         object.__setattr__(self, "vectors", vectors)
         if self.orthonormality_residual > TOL_ORTHO:
             raise ValueError(
@@ -431,7 +466,7 @@ class OrthonormalBasis:
 
     @cached_property
     def orthonormality_residual(self) -> float:
-        gram = np.einsum("ki,i,li->kl", self.vectors, self.space.weights, self.vectors)
+        gram = self.space.coefficients(self.vectors, self.vectors)
         return float(np.max(np.abs(gram - np.eye(self.n_vectors))))
 
     @property
@@ -443,12 +478,7 @@ class OrthonormalBasis:
         m = self.n_vectors if m is None else m
         if not 1 <= m <= self.n_vectors:
             raise ValueError(f"m must be in 1..{self.n_vectors}, got {m}")
-        f = np.asarray(f, dtype=float)
-        if f.shape[-1] != self.space.size:
-            raise DimensionMismatch(
-                f"expected last axis {self.space.size}, got {f.shape[-1]}"
-            )
-        return np.einsum("km,m,...m->...k", self.vectors[:m], self.space.weights, f)
+        return self.space.coefficients(self.vectors[:m], f)
 
     def synthesize(self, coefficients: np.ndarray) -> np.ndarray:
         """Linear combination of leading basis vectors; batched."""

@@ -129,11 +129,9 @@ class SpectralModel:
         """
         if not (np.isfinite(lam) and lam > 0):
             raise ValueError(f"resolvent parameter must be finite and positive, got {lam}")
-        c = self.coefficients(f)
+        c, complement = self.space.split(self.basis.vectors, f)
         gain = 1.0 / (lam + self.eigenvalues)
-        span = self.basis.synthesize(c * gain)
-        complement = np.asarray(f, dtype=float) - self.basis.synthesize(c)
-        return span + complement / lam
+        return self.basis.synthesize(c * gain) + complement / lam
 
     @cached_property
     def is_conservative(self) -> bool:
@@ -379,6 +377,8 @@ def load_spectral_table(path, name: str | None = None) -> SpectralModel:
             raise ValueError(f"{path}:{line_no}: {exc}") from None
         if len(values) < 2:
             raise ValueError(f"{path}:{line_no}: need an eigenvalue and samples")
+        if not np.all(np.isfinite(values[1:])):
+            raise ValueError(f"{path}:{line_no}: eigenfunction samples must be finite")
         rows.append(values)
     if not rows:
         raise ValueError(f"{path}: no data rows")

@@ -69,7 +69,9 @@ class StageIndex:
     def __post_init__(self):
         for field in ("n", "m", "l", "k"):
             value = getattr(self, field)
-            if value is not None and not isinstance(value, (int, np.integer)):
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            ):
                 raise ValueError(f"{field} must be an integer, got {value!r}")
         if not 0 <= self.n <= N_MAX:
             raise ValueError(f"n must be in 0..{N_MAX}, got {self.n}")
@@ -127,9 +129,8 @@ def semigroup_form(model: SpectralModel, n: int, f: np.ndarray):
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    c = model.coefficients(f)
+    c, residual = model.space.split(model.basis.vectors, f)
     decay = model.decay(2.0 ** (-n))
-    residual = np.asarray(f, dtype=float) - model.basis.synthesize(c)
     off_span = model.space.inner(residual, residual)
     out = 2.0**n * ((decay * c**2).sum(axis=-1) + off_span)
     return float(out) if np.ndim(out) == 0 else out
@@ -223,10 +224,7 @@ class StageForm:
         return self.subspace.shape[0]
 
     def coefficients(self, f: np.ndarray) -> np.ndarray:
-        f = np.asarray(f, dtype=float)
-        return np.einsum(
-            "pi,i,...i->...p", self.subspace, self.space.weights, f
-        )
+        return self.space.coefficients(self.subspace, f)
 
     def quad_form(self, f: np.ndarray):
         """<-L f, f>: the energy the generator assigns to f."""
@@ -265,17 +263,9 @@ class Stage:
                 partition = stage_partition(basis, index)
                 self.partition = partition
                 # Conditional expectation: average the masked images over
-                # each cell, then spread the averages back out by a gather.
-                # The gather equals the product with the indicators bit for
-                # bit and is C-ordered, which later products rely on: they
-                # round differently on an F-ordered array.
-                cell_avg = (
-                    images @ (partition.indicator_matrix * space.weights).T
-                ) / partition.masses
-                cell_of = partition.cell_of
-                images = np.where(cell_of >= 0, np.take(cell_avg, cell_of, axis=1), 0.0)
-            self._image_modes = model.coefficients(images)
-            self._off_span = images - model.basis.synthesize(self._image_modes)
+                # each cell, then spread the averages back out.
+                images = partition.spread(partition.average(space, images))
+            self._image_modes, self._off_span = space.split(model.basis.vectors, images)
         self.subspace = subspace
         self.images = images
         self._assemble(index)
@@ -289,9 +279,7 @@ class Stage:
         else:
             # (I - P_t) images, assembled mode by mode: accurate at any n.
             diffed = self.model.basis.synthesize(self._image_modes * decay) + self._off_span
-            cross = np.einsum(
-                "pi,i,qi->pq", self.images, self.model.space.weights, diffed
-            )
+            cross = self.model.space.coefficients(self.images, diffed)
             matrix = -index.bound * (cross + cross.T) / 2.0
         self.form_data = StageForm(
             index=index, matrix=matrix, subspace=self.subspace, space=self.model.space

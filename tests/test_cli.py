@@ -138,7 +138,13 @@ class TestConfigValidation:
     def test_unknown_or_malformed_model_is_a_config_error(self, tmp_path, capsys, command):
         table = tmp_path / "table.txt"
         table.write_text("1.0 0.5 x\n")
-        for model, needle in [("nope", "unknown model 'nope'"), (str(table), "could not convert")]:
+        nan_table = tmp_path / "nan.txt"
+        nan_table.write_text("0 1 1 1 nan\n")
+        for model, needle in [
+            ("nope", "unknown model 'nope'"),
+            (str(table), "could not convert"),
+            (str(nan_table), "samples must be finite"),
+        ]:
             data = minimal_dict(tmp_path / "out")
             data["model"] = model
             data["graph_exports"] = [[2, 4, 2, 2]]

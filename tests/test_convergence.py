@@ -377,6 +377,18 @@ class TestSweep:
             SweepGrid(n=(1,), l=(1,))
         with pytest.raises(ValueError, match="l-grid"):
             SweepGrid(n=(1,), m=(2,), k=(1,))
+        # int() used to turn 2.7 into 2, so this grid gave two n2 records.
+        with pytest.raises(ValueError, match="grid n: values must be integers, got 2.7"):
+            SweepGrid(n=(2.7, 2.7))
+        with pytest.raises(ValueError, match="grid m: values must be integers, got True"):
+            SweepGrid(n=(1,), m=(True,))
+        with pytest.raises(ValueError, match="grid l: values must be strictly increasing"):
+            SweepGrid(n=(1,), m=(2,), l=(1, 1))
+        with pytest.raises(ValueError, match="grid k: values must be strictly increasing"):
+            SweepGrid(n=(1,), m=(2,), l=(1,), k=(3, 2))
+        grid = SweepGrid(n=np.array([1, 4]), m=(np.int32(2),))
+        assert grid.n == (1, 4) and grid.m == (2,)
+        assert all(type(v) is int for v in grid.n + grid.m)
 
 
 class TestDefaultBattery:

@@ -773,6 +773,26 @@ class TestReaderValidation:
         with pytest.raises(ValueError, match=f"{kind} {field}: missing in entry 1"):
             graph_from_json_dict(data)
 
+    @pytest.mark.parametrize("top, kind", [([], "list"), (1, "int"), ("g", "str"), (None, "NoneType")])
+    def test_json_top_level_must_be_an_object(self, top, kind, tmp_path):
+        # A list used to fail with AttributeError: no attribute 'get'.
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(top))
+        needle = f"top level: expected a JSON object, found {kind}"
+        with pytest.raises(ValueError, match=needle):
+            read_graph_json(path)
+        with pytest.raises(ValueError, match=needle):
+            graph_from_json_dict(top)
+
+    @pytest.mark.parametrize("table", ["vertices", "edges"])
+    def test_repeated_scale_header_is_refused(self, table, tmp_path):
+        # A second header used to replace the first: 2 then 4 read as 4.
+        edges, vertices = self.write_tables(tmp_path, self.good_dict())
+        path, kind = (vertices, "vertex") if table == "vertices" else (edges, "edge")
+        path.write_text(path.read_text() + "# scale 4\n")
+        with pytest.raises(ValueError, match=f"scale: the {kind} file repeats its # scale header"):
+            read_edge_list(edges, vertices)
+
     @pytest.mark.parametrize("table", ["vertices", "edges"])
     def test_json_tables_must_be_lists(self, table):
         data = self.good_dict()

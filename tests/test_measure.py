@@ -269,6 +269,36 @@ class TestPartitionProperties:
             dense[c, sorted(cell)] = 1.0
         assert np.array_equal(part.indicator_matrix, dense)
         assert part.first_sites.tolist() == [min(c) for c in ref]
+        TestPartitionProperties.check_kernels(part, weights, ref)
+
+    @staticmethod
+    def check_kernels(part, weights, ref):
+        """average, spread and cell_sums against per-cell Python sums on a batch."""
+        size = weights.size
+        space = AmbientSpace(np.arange(float(size)), weights, (np.arange(size),))
+        values = np.random.default_rng(size).uniform(-1.0, 1.0, size=(2, 3, size))
+        sums = part.cell_sums(values)
+        averages = part.average(space, values)
+        assert sums.shape == averages.shape == (2, 3, len(ref))
+        for c, cell in enumerate(ref):
+            sites = sorted(cell)
+            # Site order, exactly as a sequential sum over the cell.
+            assert np.array_equal(sums[..., c], sum(values[..., x] for x in sites))
+            mass = sum(weights[x] for x in sites)
+            expected = sum(values[..., x] * weights[x] for x in sites) / mass
+            assert np.allclose(averages[..., c], expected, rtol=1e-12, atol=1e-15)
+        cell_values = values[..., : len(ref)]
+        spread = part.spread(cell_values)
+        assert spread.shape == (2, 3, size) and spread.flags.c_contiguous
+        owner = {x: c for c, cell in enumerate(ref) for x in cell}
+        for x in range(size):
+            expected = cell_values[..., owner[x]] if x in owner else np.zeros((2, 3))
+            assert np.array_equal(spread[..., x], expected)
+        # A single row gives the batch's numbers (averages up to rounding:
+        # a matrix-vector product may sum in another order).
+        assert np.array_equal(part.cell_sums(values[1, 2]), sums[1, 2])
+        assert np.allclose(part.average(space, values[1, 2]), averages[1, 2], rtol=1e-12, atol=1e-15)
+        assert np.array_equal(part.spread(cell_values[1, 2]), spread[1, 2])
 
     @settings(max_examples=150, deadline=None)
     @given(partitions_with_restrictions())
@@ -375,6 +405,15 @@ class TestOrthonormalBasis:
             OrthonormalBasis(space, raw)
         fixed = OrthonormalBasis.orthonormalized(space, raw)
         assert fixed.orthonormality_residual <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vectors_rejected(self, bad):
+        # A NaN residual used to pass the orthonormality check.
+        space = uniform_interval_space(4)
+        vectors = np.ones((1, 4))
+        vectors[0, 3] = bad
+        with pytest.raises(ValueError, match="basis vectors must be finite"):
+            OrthonormalBasis(space, vectors)
 
     def test_dependent_rows_raise(self):
         space = uniform_interval_space(16)

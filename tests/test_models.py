@@ -301,3 +301,8 @@ class TestZooAndLoader:
         empty.write_text("# nothing here\n")
         with pytest.raises(ValueError, match="no data"):
             load_spectral_table(empty)
+        # This row used to load as a model with a NaN eigenfunction.
+        nan = tmp_path / "nan.txt"
+        nan.write_text("# header\n0 1 1 1 nan\n")
+        with pytest.raises(ValueError, match="nan.txt:2: eigenfunction samples must be finite"):
+            load_spectral_table(nan)

@@ -41,6 +41,11 @@ class TestStageIndex:
             StageIndex(1024)
         with pytest.raises(ValueError):
             StageIndex(2, 0)
+        # True used to pass as 1 and be labelled nTrue_mTrue.
+        with pytest.raises(ValueError, match="n must be an integer, got True"):
+            StageIndex(True, True)
+        with pytest.raises(ValueError, match="k must be an integer, got False"):
+            StageIndex(3, 2, 1, False)
 
     def test_k_beyond_31_is_refused(self):
         # The overflow cell label -4**k - 1 must fit an int64.
