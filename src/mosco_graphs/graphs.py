@@ -112,9 +112,9 @@ def extract_graph(
     this partition.  ``scale`` multiplies both c and kappa.
     """
     apply = operator.apply if hasattr(operator, "apply") else operator
-    # No name holds the indicators, so they are freed once the operator
+    # No name holds the indicator rows, so they are freed once the operator
     # returns instead of adding a (cells x sites) array to this step's peak.
-    images = np.asarray(apply(partition.indicator_matrix), dtype=float)
+    images = np.asarray(apply(partition.spread(np.eye(partition.n_cells))), dtype=float)
     if images.shape != (partition.n_cells, partition.size):
         raise DimensionMismatch("operator changed the shape of indicator rows")
     # c_ij = sum_x images_ix w_x over the sites x of cell j.

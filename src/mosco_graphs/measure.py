@@ -312,13 +312,6 @@ class CellPartition:
         out.setflags(write=False)
         return out
 
-    @property
-    def indicator_matrix(self) -> np.ndarray:
-        """(n_cells, size) 0/1 matrix of cell indicators, built per call."""
-        out = np.zeros((self.n_cells, self.size))
-        out[self.cell_of[self.support], self.support] = 1.0
-        return out
-
     @cached_property
     def tail_mask(self) -> np.ndarray:
         """Boolean flag per cell marking overflow cells of the label grid.
@@ -355,8 +348,8 @@ class CellPartition:
         )
 
     def average(self, space: AmbientSpace, f: np.ndarray) -> np.ndarray:
-        """Weighted cell averages of f; batched over leading axes."""
-        return ((f * space.weights) @ self.indicator_matrix.T) / self.masses
+        """Weighted cell averages of f, each row summed alone; batched."""
+        return self.cell_sums(f * space.weights) / self.masses
 
     def spread(self, values: np.ndarray) -> np.ndarray:
         """Per-cell values spread back to the sites, zero off the support; batched.

@@ -13,9 +13,9 @@ Every stage has a generator that is symmetric and negative semidefinite
 in the weighted geometry.  Because the composed projection lands in the
 span of the first m basis vectors intersected with step functions, the
 generator is recorded as a small matrix over an explicit orthonormal
-subspace basis.  The matrix is assembled from (I - P) images computed
-mode by mode with expm1, which keeps entries accurate uniformly in n
-(no cancellation between <g, g> and <P g, g>).
+subspace basis.  The matrix is -2^n (C diag(d) C^T + G) for the spectral
+coefficients C and off-span Gram matrix G of the projected images, with
+d = -expm1(-lambda 2^-n) per mode: accurate at any n, and no site axis.
 
 Convention: off the recorded subspace every stage generator acts as
 zero.  Resolvents therefore act as 1/lambda there; the quadratic form
@@ -238,9 +238,10 @@ class Stage:
 
     Bundles the composed projection, the stage form, and the generator.
     The projection images S_i of the subspace basis vectors do not depend
-    on n and are computed once; the generator matrix
-    A_ij = -2^n <(I - P_t) S_j, S_i> is assembled per n, and ``at`` gives
-    the same projection at another level without rebuilding it.
+    on n and are computed once, with their spectral coefficients C (p x K)
+    and the Gram matrix G of their off-span parts, which P_t annihilates:
+    A_ij = -2^n <(I - P_t) S_j, S_i> = -2^n (C diag(d_n) C^T + G)_ij, and
+    ``at`` gives the same projection at another level without rebuilding it.
     """
 
     def __init__(self, model: SpectralModel, basis: OrthonormalBasis, index: StageIndex):
@@ -265,7 +266,8 @@ class Stage:
                 # Conditional expectation: average the masked images over
                 # each cell, then spread the averages back out.
                 images = partition.spread(partition.average(space, images))
-            self._image_modes, self._off_span = space.split(model.basis.vectors, images)
+            self._modes, off_span = space.split(model.basis.vectors, images)
+            self._gram = space.coefficients(off_span, off_span)
         self.subspace = subspace
         self.images = images
         self._assemble(index)
@@ -277,9 +279,8 @@ class Stage:
         if index.m is None:
             matrix = np.diag(-index.bound * decay)
         else:
-            # (I - P_t) images, assembled mode by mode: accurate at any n.
-            diffed = self.model.basis.synthesize(self._image_modes * decay) + self._off_span
-            cross = self.model.space.coefficients(self.images, diffed)
+            # <(I - P_t) S_j, S_i> = sum_k d_k C_ik C_jk + G_ij: accurate at any n.
+            cross = (self._modes * decay) @ self._modes.T + self._gram
             matrix = -index.bound * (cross + cross.T) / 2.0
         self.form_data = StageForm(
             index=index, matrix=matrix, subspace=self.subspace, space=self.model.space

@@ -182,7 +182,8 @@ class TestExtractionGuards:
 def einsum_extract_graph(operator, partition, space, scale=1.0):
     """``extract_graph`` as it was before its cell sums: one dense einsum."""
     apply = operator.apply if hasattr(operator, "apply") else operator
-    indicators = partition.indicator_matrix
+    indicators = np.zeros((partition.n_cells, partition.size))
+    indicators[partition.cell_of[partition.support], partition.support] = 1.0
     images = np.asarray(apply(indicators), dtype=float)
     c = np.einsum("ix,x,jx->ij", images, space.weights, indicators)
     asym = float(np.max(np.abs(c - c.T)))

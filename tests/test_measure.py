@@ -1,7 +1,7 @@
 """Weighted spaces, partitions, step functions, conditioning, bases."""
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mosco_graphs import (
@@ -267,7 +267,8 @@ class TestPartitionProperties:
         dense = np.zeros((len(ref), size))
         for c, cell in enumerate(ref):
             dense[c, sorted(cell)] = 1.0
-        assert np.array_equal(part.indicator_matrix, dense)
+        # Indicator rows as extract_graph builds them.
+        assert np.array_equal(part.spread(np.eye(len(ref))), dense)
         assert part.first_sites.tolist() == [min(c) for c in ref]
         TestPartitionProperties.check_kernels(part, weights, ref)
 
@@ -294,14 +295,17 @@ class TestPartitionProperties:
         for x in range(size):
             expected = cell_values[..., owner[x]] if x in owner else np.zeros((2, 3))
             assert np.array_equal(spread[..., x], expected)
-        # A single row gives the batch's numbers (averages up to rounding:
-        # a matrix-vector product may sum in another order).
-        assert np.array_equal(part.cell_sums(values[1, 2]), sums[1, 2])
-        assert np.allclose(part.average(space, values[1, 2]), averages[1, 2], rtol=1e-12, atol=1e-15)
-        assert np.array_equal(part.spread(cell_values[1, 2]), spread[1, 2])
+        # A single row gives the batch's numbers bit for bit.
+        for row in np.ndindex(2, 3):
+            assert np.array_equal(part.cell_sums(values[row]), sums[row])
+            assert np.array_equal(part.average(space, values[row]), averages[row])
+            assert np.array_equal(part.spread(cell_values[row]), spread[row])
 
     @settings(max_examples=150, deadline=None)
     @given(partitions_with_restrictions())
+    # One cell of 13 equal weights: a dense product over the cell
+    # indicators averaged row (1, 1) alone in other bits than in the batch.
+    @example((np.ones(13), [list(range(13))], np.array([], dtype=np.intp)))
     def test_from_cells_restrict_refines(self, case):
         weights, cells, keep = case
         size = weights.size

@@ -344,6 +344,18 @@ class TestStageGenerators:
             semigroup_form(model, 4, f), rel=1e-12
         )
 
+    def test_deep_galerkin_stage_is_its_eigenvalue_diagonal(self):
+        # With the model's own basis the images sit in the spectral span,
+        # so only rounding is off it.  Scaled by 2^60 inside the image
+        # products, that rounding once made this stage fail the NSD check
+        # with a positive eigenvalue near 6e2.
+        model = neumann_model(128, 16)
+        index = StageIndex(60, 8)
+        matrix = Stage(model, model.basis, index).form_data.matrix
+        expected = np.diag(-index.bound * model.decay(index.time)[:8])
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(matrix - expected)) <= 1e-12 * scale
+
     @pytest.mark.parametrize(
         "built, level",
         [
