@@ -35,7 +35,7 @@ from .config import (
     load_config,
 )
 from .convergence import MOSCO_PROXY_NOTE, default_test_battery, iterated_limit_sweep
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 from .graphs import final_stage_graph, write_edge_list, write_graph_json
 from .measure import OrthonormalBasis
 from .models import (
@@ -228,14 +228,19 @@ def cmd_run(args) -> int:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    records = iterated_limit_sweep(
-        model,
-        basis,
-        config.sweep_grid(),
-        battery,
-        lambdas=config.lambdas,
-        record_timings=config.record_timings,
-    )
+    try:
+        records = iterated_limit_sweep(
+            model,
+            basis,
+            config.sweep_grid(),
+            battery,
+            lambdas=config.lambdas,
+            record_timings=config.record_timings,
+        )
+    except (ValueError, SolverError) as exc:
+        # Deep time levels can push a stage past its NSD or residual
+        # guard; the sweep names the stage, and this is a usage error.
+        raise ConfigError(f"grid: {exc}") from None
     csv_path = out / "convergence.csv"
     _write_csv(records, csv_path)
     print(f"wrote {csv_path} ({len(records)} records)")

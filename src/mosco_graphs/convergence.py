@@ -221,7 +221,8 @@ def iterated_limit_sweep(
     The stage projection does not depend on n, so it is built once per
     (m, l, k) and every n of that group reuses it through ``Stage.at``;
     a record's ``wall_ms`` covers its own level, and the first level of
-    a group also the shared projection build.
+    a group also the shared projection build.  A stage that fails a guard
+    raises its error with the stage label in front of the message.
     """
     _check_unique_names(battery)
     stack = np.stack([vec.values for vec in battery])
@@ -238,10 +239,13 @@ def iterated_limit_sweep(
         for position in positions:
             ix = indices[position]
             started = time.perf_counter() if record_timings else None
-            stage = Stage(model, basis, ix) if stage is None else stage.at(ix.n)
-            by_position[position] = _records_for_stage(
-                model, stage, battery, stack, exacts, exact_resolvents, started
-            )
+            try:
+                stage = Stage(model, basis, ix) if stage is None else stage.at(ix.n)
+                by_position[position] = _records_for_stage(
+                    model, stage, battery, stack, exacts, exact_resolvents, started
+                )
+            except (ValueError, SolverError) as exc:
+                raise type(exc)(f"{ix.label()}: {exc}") from exc
     return [record for records in by_position for record in records]
 
 

@@ -384,7 +384,11 @@ def graph_from_json_dict(data: dict) -> WeightedGraph:
         raise ValueError(f"top level: expected a JSON object, found {type(data).__name__}")
     ids, mu, kappa = _json_columns(data, "vertices", "vertex", ("id", "mu", "kappa"))
     i, j, c = _json_columns(data, "edges", "edge", ("i", "j", "c"))
-    return _graph_from_tables(ids, mu, kappa, i, j, c, scale=data.get("scale", 1.0))
+    scale = data.get("scale", 1.0)
+    # float() would read true as 1.0 and "2.5" as 2.5; JSON spells a number.
+    if isinstance(scale, (bool, str)):
+        raise ValueError(f"scale: {scale!r} is not a number")
+    return _graph_from_tables(ids, mu, kappa, i, j, c, scale)
 
 
 def read_graph_json(path) -> WeightedGraph:
@@ -421,8 +425,8 @@ def _read_table(path, kind: str, types) -> tuple[str | float, list[list]]:
     Returns the scale as written (1.0 without a header) and the columns
     converted by ``types``.  Blank lines and other comments are skipped.
     A row with another number of fields, or a token its column cannot
-    convert, is a ValueError naming ``kind``; a second header is a
-    ValueError naming ``scale``.
+    convert, is a ValueError naming ``kind``; a second header, or one
+    without exactly one value, is a ValueError naming ``scale``.
     """
     scale = None
     tokens = []
@@ -432,7 +436,11 @@ def _read_table(path, kind: str, types) -> tuple[str | float, list[list]]:
             continue
         if fields[0].startswith("#"):
             parts = line.strip()[1:].split()
-            if len(parts) == 2 and parts[0] == "scale":
+            if parts[:1] == ["scale"]:
+                if len(parts) != 2:
+                    raise ValueError(
+                        f"scale: the {kind} file has a malformed header {line!r}"
+                    )
                 if scale is not None:
                     raise ValueError(f"scale: the {kind} file repeats its # scale header")
                 scale = parts[1]

@@ -281,6 +281,32 @@ class TestExportCommand:
             assert code == 2
             assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "grid, needle",
+        [
+            (
+                {"n": [32], "m": [16], "l": [2], "k": [8]},
+                r"config error: grid: n32_m16_l2_k8: generator has positive eigenvalue",
+            ),
+            (
+                {"n": [30], "m": [4, 8, 16], "l": [2, 4], "k": [2, 4, 8]},
+                r"config error: grid: n30_m\d+_l\d_k\d: resolvent solve residual",
+            ),
+        ],
+        ids=["nsd-guard", "residual-guard"],
+    )
+    def test_deep_grid_levels_fail_cleanly(self, tmp_path, capsys, grid, needle):
+        # The loader takes n up to 1023, but at such levels the conditioned
+        # stages trip their guards; that used to end in a traceback and
+        # exit code 1, the code of a failed audit.
+        data = minimal_dict(tmp_path / "out")
+        data.update(resolution=128, modes=16, grid=grid)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert re.match(needle, err) and "Traceback" not in err
+
     def test_model_bounds_are_enforced_at_startup(self, tmp_path, capsys):
         data = minimal_dict(tmp_path / "out")
         data["graph_exports"] = [[4, 32, 4, 2]]

@@ -595,6 +595,10 @@ class TestReaderValidation:
             data["scale"] = 10**400
         elif case == "word-scale":
             data["scale"] = "abc"
+        elif case == "numeric-string-scale":
+            data["scale"] = "2.5"
+        elif case == "boolean-scale":
+            data["scale"] = True
         elif case == "repeated-pair":
             data["edges"].append({"i": 0, "j": 1, "c": 0.5})
         elif case == "reversed-pair":
@@ -612,6 +616,8 @@ class TestReaderValidation:
         ("nan-scale", "scale"),
         ("huge-scale", "scale: must be finite"),
         ("word-scale", "scale: .*abc.* is not a number"),
+        ("numeric-string-scale", r"scale: .*2\.5.* is not a number"),
+        ("boolean-scale", "scale: .*True.* is not a number"),
         ("repeated-pair", r"edge i/j: pair \(0, 1\) listed twice"),
         ("reversed-pair", r"edge i/j: pair \(0, 1\) listed twice"),
     ]
@@ -785,13 +791,26 @@ class TestReaderValidation:
         with pytest.raises(ValueError, match=needle):
             graph_from_json_dict(top)
 
-    @pytest.mark.parametrize("table", ["vertices", "edges"])
-    def test_repeated_scale_header_is_refused(self, table, tmp_path):
+    @pytest.mark.parametrize(
+        "table, header, needle",
+        [
+            pytest.param(table, header, needle, id=f"{table}{suffix}")
+            for suffix, header, needle in [
+                ("", "# scale 4", "repeats its # scale header"),
+                ("-extra-token", "# scale 2 extra", "has a malformed header '# scale 2 extra'"),
+                ("-bare", "# scale", "has a malformed header '# scale'"),
+            ]
+            for table in ("vertices", "edges")
+        ],
+    )
+    def test_repeated_scale_header_is_refused(self, table, header, needle, tmp_path):
         # A second header used to replace the first: 2 then 4 read as 4.
+        # A malformed one was skipped as a comment, so a file whose only
+        # header it was read at scale 1.0.
         edges, vertices = self.write_tables(tmp_path, self.good_dict())
         path, kind = (vertices, "vertex") if table == "vertices" else (edges, "edge")
-        path.write_text(path.read_text() + "# scale 4\n")
-        with pytest.raises(ValueError, match=f"scale: the {kind} file repeats its # scale header"):
+        path.write_text(path.read_text() + header + "\n")
+        with pytest.raises(ValueError, match=f"scale: the {kind} file {needle}"):
             read_edge_list(edges, vertices)
 
     @pytest.mark.parametrize("table", ["vertices", "edges"])
