@@ -112,9 +112,10 @@ def extract_graph(
     this partition.  ``scale`` multiplies both c and kappa.
     """
     apply = operator.apply if hasattr(operator, "apply") else operator
-    # No name holds the indicator rows, so they are freed once the operator
-    # returns instead of adding a (cells x sites) array to this step's peak.
-    images = np.asarray(apply(partition.spread(np.eye(partition.n_cells))), dtype=float)
+    # No name holds the float indicator rows, so they are freed once the
+    # operator returns instead of adding a (cells x sites) array to the peak.
+    in_cell = partition.cell_of == np.arange(partition.n_cells)[:, None]
+    images = np.asarray(apply(in_cell.astype(float)), dtype=float)
     if images.shape != (partition.n_cells, partition.size):
         raise DimensionMismatch("operator changed the shape of indicator rows")
     # c_ij = sum_x images_ix w_x over the sites x of cell j.

@@ -42,17 +42,13 @@ QUANTITIES = ("resolvent_error", "form_value", "exact_form")
 AUDIT_LINE = re.compile(r"\[(pass|FAIL)\] (.+?): residual (\S+) \(tol (\S+)\)(?: -- (.*))?")
 
 
-def _float(text: str) -> float:
-    return float.fromhex(text)
-
-
 # -- re-serialising the references --------------------------------------------
 
 
 def reference_csv(ref) -> str:
     """``convergence.csv`` as the references spell it."""
     rows = [
-        ",".join(row[:6] + [format(_float(h), ".17g") for h in row[6:]])
+        ",".join(row[:6] + [format(float.fromhex(h), ".17g") for h in row[6:]])
         for row in ref["convergence"]
     ]
     return "\n".join([ref["convergence_header"], *rows]) + "\n"
@@ -64,8 +60,8 @@ def reference_audits_json(ref) -> str:
         {
             "name": name,
             "passed": passed,
-            "residual": _float(residual),
-            "tolerance": _float(tolerance),
+            "residual": float.fromhex(residual),
+            "tolerance": float.fromhex(tolerance),
             "detail": detail,
         }
         for name, passed, residual, tolerance, detail in ref["audits"]
@@ -86,11 +82,11 @@ def _sha256(text: str) -> str:
 
 def operand_scales(ref, row) -> dict[str, float]:
     """B per quantity for one reference row."""
-    norm_sq = _float(ref["norm_sq"][row[5]])
+    norm_sq = float.fromhex(ref["norm_sq"][row[5]])
     return {
         "resolvent_error": math.sqrt(norm_sq) / float(row[4]),
         "form_value": 2.0 ** int(row[0]) * norm_sq,
-        "exact_form": _float(ref["lambda_max"]) * norm_sq,
+        "exact_form": float.fromhex(ref["lambda_max"]) * norm_sq,
     }
 
 
@@ -109,11 +105,11 @@ def convergence_deviations(ref, csv_text: str) -> tuple[list[str], dict[str, flo
         if got[:6] != want[:6] or len(got) != 10:
             problems.append(f"row {number}: {line!r} where {want[:6]} was expected")
             continue
-        if float(got[9]) != _float(want[9]):
+        if float(got[9]) != float.fromhex(want[9]):
             problems.append(f"row {number}: wall_ms {got[9]}")
         scales = operand_scales(ref, want)
         for name, expected, text in zip(QUANTITIES, want[6:9], got[6:9]):
-            ratio = abs(float(text) - _float(expected)) / scales[name]
+            ratio = abs(float(text) - float.fromhex(expected)) / scales[name]
             worst[name] = max(worst[name], ratio)
             if not ratio <= REL:
                 problems.append(f"row {number}: {name} moved by {ratio:.3e} * B")
@@ -133,11 +129,11 @@ def audit_deviations(ref, audits_text: str) -> list[str]:
     for want, got in zip(ref["audits"], audits):
         name, passed, residual, tolerance, detail = want
         fixed = (got["name"], got["passed"], got["tolerance"], got["detail"])
-        if fixed != (name, passed, _float(tolerance), detail):
+        if fixed != (name, passed, float.fromhex(tolerance), detail):
             problems.append(f"audit {name}: {fixed}")
         elif passed and not got["residual"] <= got["tolerance"]:
             problems.append(f"audit {name}: residual {got['residual']!r} above its tolerance")
-        elif not passed and got["residual"] != _float(residual):
+        elif not passed and got["residual"] != float.fromhex(residual):
             problems.append(f"audit {name}: failing residual {got['residual']!r} moved")
     return problems
 

@@ -267,7 +267,7 @@ class TestPartitionProperties:
         dense = np.zeros((len(ref), size))
         for c, cell in enumerate(ref):
             dense[c, sorted(cell)] = 1.0
-        # Indicator rows as extract_graph builds them.
+        # Spreading the identity gives the indicator rows.
         assert np.array_equal(part.spread(np.eye(len(ref))), dense)
         assert part.first_sites.tolist() == [min(c) for c in ref]
         TestPartitionProperties.check_kernels(part, weights, ref)
