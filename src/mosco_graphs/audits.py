@@ -195,6 +195,9 @@ def audit_energy_exhaustion(
 
 # ---------------------------------------------------------------------------
 # Conditioning and partition audits
+#
+# The partition audits take ``parts``, which maps each (m, k) to the
+# level partition of one basis at that m and k.
 
 
 def audit_conditioning(
@@ -230,44 +233,38 @@ def audit_conditioning(
     ]
 
 
-def audit_tail_mass(basis: OrthonormalBasis, ms, ks) -> AuditResult:
+def audit_tail_mass(parts: dict) -> AuditResult:
     """Joint tail cells carry at most m * 2^(-2k) of the total mass."""
-    space = basis.space
     worst = 0.0
-    for m in ms:
-        for k in ks:
-            part = level_partition(basis, m, k)
-            tail = float(part.masses[part.tail_mask].sum())
-            worst = max(worst, tail - m * 2.0 ** (-2 * k))
+    for (m, k), part in parts.items():
+        tail = float(part.masses[part.tail_mask].sum())
+        worst = max(worst, tail - m * 2.0 ** (-2 * k))
     return _result("tail-cell-mass", worst, 1e-15)
 
 
-def audit_cell_oscillation(basis: OrthonormalBasis, ms, ks) -> AuditResult:
+def audit_cell_oscillation(basis: OrthonormalBasis, parts: dict) -> AuditResult:
     """Inside non-tail cells each projected mode moves at most 2^-k."""
     worst = 0.0
-    for m in ms:
-        for k in ks:
-            part = level_partition(basis, m, k)
-            sites = part.support[~part.tail_mask[part.cell_of[part.support]]]
-            if sites.size == 0:
-                continue
-            # Group the sites of non-tail cells by cell, then take per-cell
-            # extremes of every mode with one reduceat each.
-            order = sites[np.argsort(part.cell_of[sites], kind="stable")]
-            starts = np.flatnonzero(np.diff(part.cell_of[order], prepend=-1))
-            block = basis.vectors[:m, order]
-            osc = np.maximum.reduceat(block, starts, axis=1) - np.minimum.reduceat(
-                block, starts, axis=1
-            )
-            worst = max(worst, float(osc.max()) - 2.0 ** -k)
+    for (m, k), part in parts.items():
+        sites = part.support[~part.tail_mask[part.cell_of[part.support]]]
+        if sites.size == 0:
+            continue
+        # Group the sites of non-tail cells by cell, then take per-cell
+        # extremes of every mode with one reduceat each.
+        order = sites[np.argsort(part.cell_of[sites], kind="stable")]
+        starts = np.flatnonzero(np.diff(part.cell_of[order], prepend=-1))
+        block = basis.vectors[:m, order]
+        osc = np.maximum.reduceat(block, starts, axis=1) - np.minimum.reduceat(
+            block, starts, axis=1
+        )
+        worst = max(worst, float(osc.max()) - 2.0 ** -k)
     return _result("cell-oscillation", worst, 1e-12)
 
 
-def audit_partition_refinement(basis: OrthonormalBasis, ms, ks) -> AuditResult:
+def audit_partition_refinement(parts: dict) -> AuditResult:
     """Each finer cell sits inside exactly one coarser cell."""
     pairs = 0
     broken = 0
-    parts = {(m, k): level_partition(basis, m, k) for m in ms for k in ks}
     for (m, k), coarse in parts.items():
         for (m2, k2), fine in parts.items():
             if m2 < m or k2 < k or (m2, k2) == (m, k):
@@ -562,11 +559,11 @@ def audit_suite(
 
     lead = spectral_models[0]
     lead_basis = basis_for(lead)
-    ms = (1, 2, 4, 8)
-    ks = (1, 2, 3, 4)
-    results.append(audit_tail_mass(lead_basis, ms, ks))
-    results.append(audit_cell_oscillation(lead_basis, ms, ks))
-    results.append(audit_partition_refinement(lead_basis, ms, ks))
+    # One build per (m, k) serves the three partition audits.
+    parts = {(m, k): level_partition(lead_basis, m, k) for m in (1, 2, 4, 8) for k in range(1, 5)}
+    results.append(audit_tail_mass(parts))
+    results.append(audit_cell_oscillation(lead_basis, parts))
+    results.append(audit_partition_refinement(parts))
     results.append(audit_extraction_tower(lead, lead_basis, rng))
 
     warped = _warped(kernels[0]) if inject_asymmetry else None

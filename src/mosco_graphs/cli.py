@@ -13,7 +13,7 @@ Three subcommands share one config surface:
 
 Outputs are deterministic for a fixed config and seed: records are
 sorted before writing, floats are printed with 17 significant digits,
-and timing capture is off unless asked for.
+and no wall-clock time is recorded.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ EXIT_OK = 0
 EXIT_AUDIT_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 
+# ``wall_ms`` is always 0; the column stays so the CSV layout does not change.
 CSV_HEADER = "n,m,l,k,lambda,test_vector,resolvent_error,form_value,exact_form,wall_ms"
 
 
@@ -143,7 +144,7 @@ def _csv_rows(records) -> list[str]:
                     _format(r.resolvent_error),
                     _format(r.form_value),
                     _format(r.exact_form),
-                    _format(r.wall_ms),
+                    "0",
                 ]
             )
         )
@@ -235,7 +236,6 @@ def cmd_run(args) -> int:
             config.sweep_grid(),
             battery,
             lambdas=config.lambdas,
-            record_timings=config.record_timings,
         )
     except (ValueError, SolverError) as exc:
         # Deep time levels can push a stage past its NSD or residual

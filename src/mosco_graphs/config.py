@@ -51,7 +51,6 @@ class ExperimentConfig:
     graph_exports: tuple = (StageIndex(4, 8, 4, 4), StageIndex(10, 16, 4, 8))
     out_dir: str = "results"
     seed: int = 7
-    record_timings: bool = False
 
     def __post_init__(self):
         if self.basis not in BASIS_CHOICES:
@@ -186,7 +185,6 @@ KNOWN_FIELDS = {
     "graph_exports",
     "out_dir",
     "seed",
-    "record_timings",
 }
 
 
@@ -230,7 +228,6 @@ def config_from_dict(data) -> ExperimentConfig:
         lambdas=_lambda_axis(data["lambdas"], "lambdas") if "lambdas" in data else base.lambdas,
         out_dir=_as_str(data.get("out_dir", base.out_dir), "out_dir"),
         seed=_as_int(data.get("seed", base.seed), "seed", low=0),
-        record_timings=_as_bool(data.get("record_timings", base.record_timings), "record_timings"),
     )
     if "test_vectors" in data:
         kwargs["test_vectors"] = _vector_spec(data["test_vectors"], "test_vectors")
@@ -282,5 +279,4 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "graph_exports": [[ix.n, ix.m, ix.l, ix.k] for ix in config.graph_exports],
         "out_dir": config.out_dir,
         "seed": config.seed,
-        "record_timings": config.record_timings,
     }

@@ -16,7 +16,6 @@ and are therefore blind to mass outside the spectral span (it cancels).
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +25,7 @@ import numpy as np
 import scipy
 
 from .errors import SolverError
-from .measure import OrthonormalBasis
+from .measure import CellPartition, OrthonormalBasis
 from .models import SpectralModel
 from .pipeline import Stage, StageForm, StageIndex
 
@@ -173,7 +172,6 @@ class ConvergenceRecord:
     resolvent_error: float
     form_value: float
     exact_form: float
-    wall_ms: float = 0.0
 
 
 def _records_for_stage(
@@ -183,14 +181,12 @@ def _records_for_stage(
     stack: np.ndarray,
     exacts: np.ndarray,
     exact_resolvents: Sequence[tuple[float, np.ndarray]],
-    started: float | None,
 ) -> list[ConvergenceRecord]:
     forms = np.atleast_1d(stage.form(stack))
     errors = []
     for lam, exact in exact_resolvents:
         approx = stage_resolvent(stage.form_data, lam, stack)
         errors.append((lam, np.atleast_1d(model.space.norm(approx - exact))))
-    wall_ms = 0.0 if started is None else (time.perf_counter() - started) * 1e3
     return [
         ConvergenceRecord(
             index=stage.index,
@@ -199,7 +195,6 @@ def _records_for_stage(
             resolvent_error=float(per_vector[v]),
             form_value=float(forms[v]),
             exact_form=float(exacts[v]),
-            wall_ms=wall_ms,
         )
         for lam, per_vector in errors
         for v, vec in enumerate(battery)
@@ -212,17 +207,15 @@ def iterated_limit_sweep(
     schedule: SweepGrid,
     battery: Sequence[TestVector],
     lambdas: Sequence[float] = (1.0,),
-    record_timings: bool = False,
 ) -> list[ConvergenceRecord]:
     """Evaluate every grid point; records come back in grid order.
 
     The model side does not depend on the stage, so the exact form and
     the exact resolvent of each lambda are computed once for the sweep.
     The stage projection does not depend on n, so it is built once per
-    (m, l, k) and every n of that group reuses it through ``Stage.at``;
-    a record's ``wall_ms`` covers its own level, and the first level of
-    a group also the shared projection build.  A stage that fails a guard
-    raises its error with the stage label in front of the message.
+    (m, l, k) and every n of that group reuses it through ``Stage.at``.
+    A stage that fails a guard raises its error with the stage label in
+    front of the message.
     """
     _check_unique_names(battery)
     stack = np.stack([vec.values for vec in battery])
@@ -238,11 +231,10 @@ def iterated_limit_sweep(
         stage = None
         for position in positions:
             ix = indices[position]
-            started = time.perf_counter() if record_timings else None
             try:
                 stage = Stage(model, basis, ix) if stage is None else stage.at(ix.n)
                 by_position[position] = _records_for_stage(
-                    model, stage, battery, stack, exacts, exact_resolvents, started
+                    model, stage, battery, stack, exacts, exact_resolvents
                 )
             except (ValueError, SolverError) as exc:
                 raise type(exc)(f"{ix.label()}: {exc}") from exc
@@ -329,11 +321,8 @@ def default_test_battery(
         # truncation level and measure nothing but that ceiling.
         cuts = np.sort(rng.uniform(0.0, 1.0, size=11))
         profile = model.basis.synthesize(rng.standard_normal(n_low) * low_decay)
-        labels = np.searchsorted(cuts, positions)
-        mass = np.bincount(labels, weights=space.weights, minlength=12)
-        lump = np.bincount(labels, weights=profile * space.weights, minlength=12)
-        heights = np.divide(lump, mass, out=np.zeros(12), where=mass > 0)
-        values = heights[labels]
+        blocks = CellPartition.from_labels(space, np.searchsorted(cuts, positions), 12)
+        values = blocks.spread(blocks.average(space, profile))
         vectors.append(TestVector(f"step_{s + 1}", values / space.norm(values)))
     if include_constant:
         vectors.append(TestVector("const", space.constant()))

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, SymmetryError
-from .measure import AmbientSpace, CellPartition, OrthonormalBasis, StepFunction
+from .measure import AmbientSpace, CellPartition, OrthonormalBasis
 from .models import MarkovKernelModel, SpectralModel
 from .pipeline import StageIndex, stage_partition
 
@@ -145,27 +145,19 @@ def extract_graph(
     )
 
 
-def graph_energy(graph: WeightedGraph, f) -> float:
-    """Energy 1/2 sum_ij (a_i - a_j)^2 c_ij + sum_j a_j^2 kappa_j.
+def graph_energy(graph: WeightedGraph, alpha) -> float:
+    """Energy 1/2 sum_ij (a_i - a_j)^2 c_ij + sum_j a_j^2 kappa_j of per-vertex values.
 
-    ``f`` is a StepFunction over the graph's cells or a plain vector of
-    per-vertex values.
+    Evaluated in Laplacian form, a^T (D - C) a + sum_j kappa_j a_j^2 with D
+    the column sums of C on the diagonal, so only per-vertex arrays are built.
     """
-    if isinstance(f, StepFunction):
-        if f.partition.n_cells != graph.n_vertices:
-            raise DimensionMismatch(
-                f"{f.partition.n_cells} cells against {graph.n_vertices} vertices"
-            )
-        alpha = f.coefficients
-    else:
-        alpha = np.asarray(f, dtype=float)
-        if alpha.shape != (graph.n_vertices,):
-            raise DimensionMismatch(
-                f"expected {graph.n_vertices} values, got shape {alpha.shape}"
-            )
-    diff = alpha[:, None] - alpha[None, :]
-    interaction = 0.5 * float(np.sum(graph.conductances * diff**2))
-    return interaction + float(np.sum(graph.killing * alpha**2))
+    if np.shape(alpha) != (graph.n_vertices,):
+        raise DimensionMismatch(
+            f"expected {graph.n_vertices} values, got shape {np.shape(alpha)}"
+        )
+    alpha = np.asarray(alpha, dtype=float)
+    c = graph.conductances
+    return float(alpha @ (c.sum(axis=0) * alpha - c @ alpha) + graph.killing @ alpha**2)
 
 
 def verify_identification(kernel: MarkovKernelModel, seed: int = 0) -> float:
@@ -180,7 +172,7 @@ def verify_identification(kernel: MarkovKernelModel, seed: int = 0) -> float:
     worst = 0.0
     for _ in range(100):
         alpha = rng.standard_normal(partition.n_cells)
-        f = StepFunction(partition, alpha).expand()
+        f = partition.spread(alpha)
         lhs = space.inner(f - kernel.apply(f), f)
         rhs = graph_energy(graph, alpha)
         worst = max(worst, abs(lhs - rhs))

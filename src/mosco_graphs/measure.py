@@ -293,17 +293,6 @@ class CellPartition:
         return out
 
     @cached_property
-    def cells(self) -> tuple[np.ndarray, ...]:
-        """Sorted site indices of each cell."""
-        on = self.support
-        order = on[np.argsort(self.cell_of[on], kind="stable")]
-        counts = np.bincount(self.cell_of[on], minlength=self.n_cells)
-        out = tuple(np.split(order, np.cumsum(counts)[:-1]))
-        for idx in out:
-            idx.setflags(write=False)
-        return out
-
-    @cached_property
     def first_sites(self) -> np.ndarray:
         """(n_cells,) lowest site index of each cell."""
         on = self.support

@@ -88,9 +88,6 @@ class SpectralModel:
     def n_modes(self) -> int:
         return self.eigenvalues.size
 
-    def coefficients(self, f: np.ndarray) -> np.ndarray:
-        return self.basis.coefficients(f)
-
     def decay(self, t: float) -> np.ndarray:
         """Per-mode 1 - exp(-lambda t), via expm1 so it stays accurate for
         small t; 1 on infinite eigenvalues."""
@@ -106,7 +103,7 @@ class SpectralModel:
         """
         if t < 0:
             raise ValueError(f"time must be nonnegative, got {t}")
-        c = self.coefficients(f)
+        c = self.basis.coefficients(f)
         with np.errstate(invalid="ignore"):
             decay = np.exp(-self.eigenvalues * t)
         decay = np.where(np.isfinite(self.eigenvalues), decay, 0.0)
@@ -115,7 +112,7 @@ class SpectralModel:
     def exact_form(self, f: np.ndarray):
         """Energy sum(lambda_k <f, phi_k>^2), +inf where an infinite
         eigenvalue carries nonzero coefficient."""
-        c2 = self.coefficients(f) ** 2
+        c2 = self.basis.coefficients(f) ** 2
         with np.errstate(invalid="ignore"):
             terms = np.where(c2 > 0, self.eigenvalues * c2, 0.0)
         out = terms.sum(axis=-1)
@@ -132,13 +129,6 @@ class SpectralModel:
         c, complement = self.space.split(self.basis.vectors, f)
         gain = 1.0 / (lam + self.eigenvalues)
         return self.basis.synthesize(c * gain) + complement / lam
-
-    @cached_property
-    def is_conservative(self) -> bool:
-        """True when the semigroup preserves constants."""
-        ones = self.space.constant()
-        drift = self.space.norm(self.apply_semigroup(1.0, ones) - ones)
-        return bool(drift <= 1e-10 * max(1.0, self.space.norm(ones)))
 
     @cached_property
     def is_complete(self) -> bool:

@@ -1,7 +1,14 @@
-"""The partition audits pass on sound input and fail on corrupted input."""
+"""Audit families pass on sound input and fail on corrupted input."""
 import numpy as np
 
-from mosco_graphs import CellPartition, WeightedGraph, audits, graphs, level_partition
+from mosco_graphs import (
+    CellPartition,
+    WeightedGraph,
+    audits,
+    graphs,
+    level_partition,
+    random_kernel_model,
+)
 from mosco_graphs.measure import StepFunction
 
 MS = (1, 2, 4)
@@ -32,42 +39,66 @@ class TestConditioningAudit:
         assert not by_name(results, "conditioning-orthogonality").passed
 
 
+def level_partitions(basis):
+    return {(m, k): level_partition(basis, m, k) for m in MS for k in KS}
+
+
+class TestTailMassAudit:
+    def test_passes(self, neumann_small):
+        assert audits.audit_tail_mass(level_partitions(neumann_small.basis)).passed
+
+    def test_all_tail_labels_fail(self, neumann_small):
+        # Every cell labelled with the overflow label 4^k: the whole mass
+        # sits in tail cells, far above m * 2^(-2k).
+        parts = {
+            (m, k): CellPartition(
+                cell_of=part.cell_of,
+                masses=part.masses,
+                labels=np.full_like(part.labels, 4**k),
+                level=k,
+            )
+            for (m, k), part in level_partitions(neumann_small.basis).items()
+        }
+        result = audits.audit_tail_mass(parts)
+        assert not result.passed
+        assert result.residual >= 0.5
+
+
 class TestCellOscillationAudit:
     def test_passes(self, neumann_small):
-        assert audits.audit_cell_oscillation(neumann_small.basis, MS, KS).passed
+        basis = neumann_small.basis
+        assert audits.audit_cell_oscillation(basis, level_partitions(basis)).passed
 
-    def test_wide_interleaved_cells_fail(self, neumann_small, monkeypatch):
+    def test_wide_interleaved_cells_fail(self, neumann_small):
         # Two cells, even and odd sites, each spanning the whole range of
         # every mode: the extremes must be taken over a cell's sites, not
         # over runs of neighbouring sites.
-        def interleaved(basis, m, k):
-            size = basis.space.size
-            return CellPartition(
+        basis = neumann_small.basis
+        size = basis.space.size
+        parts = {
+            (m, k): CellPartition(
                 cell_of=np.arange(size) % 2,
                 masses=np.full(2, basis.space.total_mass / 2),
                 labels=np.zeros((2, m), dtype=np.int64),
                 level=k,
             )
-
-        monkeypatch.setattr(audits, "level_partition", interleaved)
-        assert not audits.audit_cell_oscillation(neumann_small.basis, MS, KS).passed
+            for m in MS
+            for k in KS
+        }
+        assert not audits.audit_cell_oscillation(basis, parts).passed
 
 
 class TestPartitionRefinementAudit:
     def test_passes(self, neumann_small):
-        assert audits.audit_partition_refinement(neumann_small.basis, MS, KS).passed
+        assert audits.audit_partition_refinement(level_partitions(neumann_small.basis)).passed
 
-    def test_shifted_fine_partition_fails(self, neumann_small, monkeypatch):
-        def shifted(basis, m, k):
-            part = level_partition(basis, m, k)
-            if (m, k) != (MS[-1], KS[-1]):
-                return part
-            return CellPartition(
-                cell_of=np.roll(part.cell_of, 1), masses=part.masses, level=part.level
-            )
-
-        monkeypatch.setattr(audits, "level_partition", shifted)
-        result = audits.audit_partition_refinement(neumann_small.basis, MS, KS)
+    def test_shifted_fine_partition_fails(self, neumann_small):
+        parts = level_partitions(neumann_small.basis)
+        finest = parts[MS[-1], KS[-1]]
+        parts[MS[-1], KS[-1]] = CellPartition(
+            cell_of=np.roll(finest.cell_of, 1), masses=finest.masses, level=finest.level
+        )
+        result = audits.audit_partition_refinement(parts)
         assert not result.passed
         assert result.residual >= 1
 
@@ -103,3 +134,57 @@ class TestExtractionTowerAudit:
         assert not audits.audit_extraction_tower(
             neumann_small, neumann_small.basis, rng
         ).passed
+
+
+def killing_free_energy(graph, alpha):
+    """The graph energy with the killing term forgotten."""
+    alpha = np.asarray(alpha, dtype=float)
+    return float(np.sum(graph.conductances * (alpha[:, None] - alpha[None, :]) ** 2) / 2)
+
+
+class TestIdentificationAudit:
+    @staticmethod
+    def kernels():
+        return [random_kernel_model(8, np.random.default_rng(13), name="leaky")]
+
+    def test_passes(self):
+        results = audits.audit_identification(self.kernels(), np.random.default_rng(7))
+        assert all(r.passed for r in results)
+
+    def test_energy_without_killing_fails(self, monkeypatch):
+        monkeypatch.setattr(graphs, "graph_energy", killing_free_energy)
+        results = audits.audit_identification(self.kernels(), np.random.default_rng(7))
+        assert not by_name(results, "identification[leaky]").passed
+
+
+def pair_graph(killing):
+    """Two vertices at scale 2^40, where the constructor's killing slack is
+    KILLING_TOL * 2^40, about 110."""
+    return WeightedGraph(
+        [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]], [killing, killing], scale=2.0**40
+    )
+
+
+class TestUnitContractionAudit:
+    def test_passes(self):
+        rng = np.random.default_rng(17)
+        assert audits.audit_unit_contraction([("pair", pair_graph(0.0))], rng).passed
+
+    def test_negative_killing_inside_the_slack_fails(self):
+        # Accepted as rounding slack, a negative killing weight makes the
+        # energy of a function grow when the function is clipped toward 0.
+        rng = np.random.default_rng(17)
+        graph = pair_graph(-1.0)
+        assert not audits.audit_unit_contraction([("pair", graph)], rng).passed
+
+
+class TestNormalContractionAudit:
+    def test_passes(self):
+        rng = np.random.default_rng(19)
+        assert audits.audit_normal_contraction([("pair", pair_graph(0.0))], rng).passed
+
+    def test_expanding_map_fails(self, monkeypatch):
+        # A 2-Lipschitz map in place of the 1-Lipschitz clips.
+        monkeypatch.setattr(audits, "_random_lipschitz", lambda rng: lambda x: 2.0 * x)
+        rng = np.random.default_rng(19)
+        assert not audits.audit_normal_contraction([("pair", pair_graph(0.0))], rng).passed

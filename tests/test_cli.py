@@ -51,6 +51,12 @@ class TestConfigValidation:
         config = default_config()
         assert config_from_dict(config_to_dict(config)) == config
 
+    def test_readme_lists_the_default_config(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme[readme.index("All fields with their defaults") :]
+        block = re.search(r"```json\n(.*?)```", section, flags=re.S).group(1)
+        assert json.loads(block) == config_to_dict(default_config())
+
     def test_messages_name_the_field(self):
         cases = [
             ({"schema": 1, "resolution": 100, "modes": 64}, "over-resolve"),

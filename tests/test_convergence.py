@@ -108,7 +108,7 @@ class TestResolventError:
     def test_off_span_mass_cancels_exactly(self, neumann_small):
         rng = np.random.default_rng(65)
         f = rng.standard_normal(256)
-        f -= neumann_small.basis.synthesize(neumann_small.coefficients(f))
+        f -= neumann_small.basis.synthesize(neumann_small.basis.coefficients(f))
         sf = stage_generator(neumann_small, neumann_small.basis, StageIndex(8))
         errs = resolvent_error(
             neumann_small, sf, ResolventProbe(1.0, (TestVector("perp", f),))
@@ -283,15 +283,6 @@ class TestSweep:
         ]
         got = [(r.index.label(), r.lam, r.vector_name) for r in records]
         assert got == expected
-
-    def test_timings_are_zero_unless_requested(self):
-        model, battery, grid = self.make_inputs()
-        off = iterated_limit_sweep(model, model.basis, grid, battery)
-        assert all(r.wall_ms == 0.0 for r in off)
-        on = iterated_limit_sweep(
-            model, model.basis, grid, battery, record_timings=True
-        )
-        assert all(r.wall_ms > 0.0 for r in on)
 
     def test_records_equal_resolvent_error_bit_for_bit(self, neumann_small):
         # The sweep and resolvent_error share one batched stage_resolvent

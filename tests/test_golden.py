@@ -10,11 +10,13 @@ The graph JSON, edge-list and vertex hashes were recorded before cell
 partitions became site -> cell label vectors, and no change has moved
 them since.  The hashes of ``convergence.csv``, ``audits.json`` and both
 ``verify`` stdouts are the ones the deviation gate of ``test_deviation``
-covers: they were updated once, when cell averages went through
+covers.  They were updated when cell averages went through
 ``cell_sums`` and stage generators were assembled from factored image
-modes, with that gate passing against its unchanged references.  A
-change that reorders floating-point arithmetic may update these four,
-and only these, in the same way.
+modes, and the hashes of ``audits.json`` and both ``verify`` stdouts
+again when ``graph_energy`` took its Laplacian form, each time with
+that gate passing against its unchanged references.  A change that
+reorders floating-point arithmetic may update these four, and only
+these, in the same way.
 """
 import hashlib
 import json
@@ -37,7 +39,7 @@ CONFIG = {
 RUN_SHA256 = {
     "convergence.csv": "4b1b4bd98abad50a40f6d23e78904079c82e4b7a2dbe4c2767c997b02ce6b5ca",
     "graph_n6_m8_l4_k3.json": "a467f35e03eebef8097ca8b08c598dd2024af1c744e34ff27ad1596d77787662",
-    "audits.json": "b30dc9461fa813760deaa527ba3116eadf1217de462760164ca1bca530f00c86",
+    "audits.json": "e13e28e1858d32078a8ef02f201636f4306b54b4ba33d722b530d5e3c6e8bc87",
 }
 
 EXPORT_SHA256 = {
@@ -62,8 +64,8 @@ def test_artifact_bytes_match_stored_hashes(tmp_path, command, expected):
 
 
 VERIFY_SHA256 = {
-    (): "5fde78ca83f6fde23ab5c74a770ab110d1a45991fd349b87493a3ba2de529335",
-    ("--inject-asymmetry",): "2e59bd16d05ab388d01390c271ddc2fb8bfcfe05ee7338663a8bb05138d106b3",
+    (): "22d3956e53e8e459fd34a3a9b96b06aa7b269ab32f50571136fbcd445e81df3e",
+    ("--inject-asymmetry",): "85858173f4b4caf624abbb6b1183cc5d75e6d7a08e96bc015c1f431e3f246feb",
 }
 
 INJECTED_FAIL = (

@@ -1,5 +1,6 @@
 """Graph extraction, the energy identity, and the export formats."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -90,6 +91,22 @@ class TestHandComputedGraphs:
         assert np.array_equal(via_model.killing, via_callable.killing)
 
 
+@st.composite
+def energy_cases(draw):
+    """A graph scaled by 2^n, with killing, and one value per vertex."""
+    v = draw(st.integers(1, 7))
+    scale = 2.0 ** draw(st.integers(0, 30))
+    pairs = v * (v + 1) // 2
+    upper = draw(st.lists(st.floats(0.0, 1.0), min_size=pairs, max_size=pairs))
+    mu = draw(st.lists(st.floats(1e-3, 1.0), min_size=v, max_size=v))
+    kappa = draw(st.lists(st.floats(0.0, 1.0), min_size=v, max_size=v))
+    alpha = draw(st.lists(st.floats(-1e3, 1e3), min_size=v, max_size=v))
+    graph = WeightedGraph(
+        mu, scale * symmetric(upper, v), scale * np.array(kappa), scale=scale
+    )
+    return graph, np.array(alpha)
+
+
 class TestGraphValidation:
     def test_rejects_malformed_data(self):
         mu = np.array([1.0, 2.0])
@@ -135,16 +152,26 @@ class TestGraphValidation:
         with pytest.raises(ValueError, match=field):
             WeightedGraph(**data)
 
-    def test_energy_input_forms(self):
-        kernel = two_site_kernel([[0.5, 0.5], [0.5, 0.5]])
-        part = CellPartition.singletons(kernel.space)
-        graph = extract_graph(kernel, part, kernel.space)
-        alpha = np.array([1.5, -0.5])
-        as_step = graph_energy(graph, StepFunction(part, alpha))
-        as_vector = graph_energy(graph, alpha)
-        assert as_step == as_vector
+    @settings(max_examples=200, deadline=None)
+    @given(case=energy_cases())
+    def test_energy_input_forms(self, case):
+        graph, alpha = case
+        v = graph.n_vertices
+        c, kappa = graph.conductances, graph.killing
+        ij = [(i, j) for i in range(v) for j in range(v)]
+        explicit = 0.5 * math.fsum(c[i, j] * (alpha[i] - alpha[j]) ** 2 for i, j in ij)
+        explicit += math.fsum(kappa * alpha**2)
+        # The Laplacian form cancels where alpha is nearly constant, so its
+        # error is bounded by the size of the operands, not of the result.
+        operands = 0.5 * math.fsum(c[i, j] * (alpha[i] ** 2 + alpha[j] ** 2) for i, j in ij)
+        operands += math.fsum(kappa * alpha**2)
+        assert abs(graph_energy(graph, alpha) - explicit) <= 1e-12 * operands
+        assert graph_energy(graph, alpha.tolist()) == graph_energy(graph, alpha)
+        part = CellPartition(cell_of=np.arange(v), masses=graph.vertex_weights)
         with pytest.raises(DimensionMismatch):
-            graph_energy(graph, np.ones(3))
+            graph_energy(graph, StepFunction(part, alpha))
+        with pytest.raises(DimensionMismatch):
+            graph_energy(graph, np.ones(v + 1))
 
     def test_energy_is_nonnegative(self):
         rng = np.random.default_rng(41)
@@ -385,9 +412,7 @@ class TestFinalStageGraphs:
         assert fine.refines(coarse)
         g_coarse = extract_graph(apply, coarse, model.space)
         g_fine = extract_graph(apply, fine, model.space)
-        owner = np.array(
-            [coarse.cell_of[cell[0]] for cell in fine.cells]
-        )
+        owner = coarse.cell_of[fine.first_sites]
         rng = np.random.default_rng(51)
         for _ in range(20):
             alpha = rng.standard_normal(coarse.n_cells)

@@ -67,7 +67,7 @@ class TestSemigroupAction:
         model = neumann_model(256, 8)
         rng = np.random.default_rng(4)
         f = rng.standard_normal(256)
-        f_perp = f - model.basis.synthesize(model.coefficients(f))
+        f_perp = f - model.basis.synthesize(model.basis.coefficients(f))
         assert model.space.norm(model.apply_semigroup(0.5, f_perp)) <= 1e-12
 
     def test_negative_time_rejected(self):
