@@ -57,18 +57,26 @@ class AuditResult:
         return text
 
 
-def _result(name, residual, tol, detail=""):
+def _result(name, residuals, tol, detail=""):
+    """One audit line from a value or an array of them: the worst, at least 0.
+
+    ``np.max`` propagates NaN, so one NaN anywhere fails the audit; adding
+    0.0 turns a worst of -0.0 into 0.0.
+    """
+    residual = float(np.max(residuals, initial=0.0)) + 0.0
     return AuditResult(
         name=name,
         passed=bool(residual <= tol),
-        residual=float(residual),
+        residual=residual,
         tolerance=float(tol),
         detail=detail,
     )
 
 
-def _span_probe(model: SpectralModel, rng: np.random.Generator, decay: float = 0.5) -> np.ndarray:
-    """A random vector concentrated on low modes, roughly unit norm.
+def _span_probe(
+    model: SpectralModel, rng: np.random.Generator, count: int, decay: float = 0.5
+) -> np.ndarray:
+    """``count`` random vectors concentrated on low modes, roughly unit norm.
 
     Scaled by the decay envelope rather than the achieved norm: a draw
     that happens to be small on the leading modes must not amplify the
@@ -76,7 +84,7 @@ def _span_probe(model: SpectralModel, rng: np.random.Generator, decay: float = 0
     """
     n_low = min(8, model.n_modes)
     envelope = decay ** np.arange(n_low)
-    coeffs = rng.standard_normal(n_low) * envelope
+    coeffs = rng.standard_normal((count, n_low)) * envelope
     f = model.basis.synthesize(coeffs)
     return f / float(np.sqrt(np.sum(envelope**2)))
 
@@ -93,24 +101,19 @@ def audit_kernel_validity(kernel: MarkovKernelModel) -> AuditResult:
     excess = max(0.0, float(P.sum(axis=1).max()) - 1.0)
     flux = w[:, None] * P
     asym = float(np.abs(flux - flux.T).max())
-    worst = max(neg, excess, asym)
     return _result(
         f"kernel-validity[{kernel.name}]",
-        worst,
+        (neg, excess, asym),
         1e-12,
         f"neg {neg:.1e} rowsum {excess:.1e} balance {asym:.1e}",
     )
 
 
 def audit_semigroup_contraction(model: SpectralModel, rng: np.random.Generator) -> AuditResult:
-    worst = 0.0
-    times = 2.0 ** -np.arange(0, 13)
-    for _ in range(25):
-        f = rng.standard_normal(model.space.size)
-        nf = model.space.norm(f)
-        for t in times:
-            worst = max(worst, model.space.norm(model.apply_semigroup(t, f)) - nf)
-    return _result(f"semigroup-contraction[{model.name}]", worst, 1e-12)
+    f = rng.standard_normal((25, model.space.size))
+    nf = model.space.norm(f)
+    gaps = [model.space.norm(model.apply_semigroup(t, f)) - nf for t in 2.0 ** -np.arange(0, 13)]
+    return _result(f"semigroup-contraction[{model.name}]", gaps, 1e-12)
 
 
 def markov_audit_time_floor(model: SpectralModel) -> float:
@@ -133,25 +136,22 @@ def audit_markov_range(model: SpectralModel, rng: np.random.Generator) -> AuditR
     floor = markov_audit_time_floor(model)
     times = [t for t in 2.0 ** -np.arange(0, 13) if t >= floor]
     skipped = 13 - len(times)
-    worst = 0.0
-    for _ in range(25):
-        f = rng.uniform(0.0, 1.0, size=model.space.size)
-        for t in times:
-            g = model.apply_semigroup(t, f)
-            worst = max(worst, float(g.max()) - 1.0, float(-g.min()))
+    f = rng.uniform(0.0, 1.0, size=(25, model.space.size))
+    images = (model.apply_semigroup(t, f) for t in times)
+    excess = [(g.max() - 1.0, -g.min()) for g in images]
     detail = f"skipped {skipped} sub-ringing times" if skipped else ""
-    return _result(f"markov-range[{model.name}]", worst, 1e-9, detail)
+    return _result(f"markov-range[{model.name}]", excess, 1e-9, detail)
 
 
 def audit_semigroup_law(model: SpectralModel, rng: np.random.Generator) -> AuditResult:
-    worst = 0.0
+    gaps = []
     for _ in range(20):
         f = rng.standard_normal(model.space.size)
         s, t = rng.uniform(0.0, 1.0, size=2)
         two_step = model.apply_semigroup(s, model.apply_semigroup(t, f))
         one_step = model.apply_semigroup(s + t, f)
-        worst = max(worst, model.space.norm(two_step - one_step))
-    return _result(f"semigroup-law[{model.name}]", worst, 1e-10)
+        gaps.append(model.space.norm(two_step - one_step))
+    return _result(f"semigroup-law[{model.name}]", gaps, 1e-10)
 
 
 def audit_time_monotonicity(model: SpectralModel, rng: np.random.Generator) -> AuditResult:
@@ -159,14 +159,12 @@ def audit_time_monotonicity(model: SpectralModel, rng: np.random.Generator) -> A
 
     Step drops up to 1e-12 are rounding and are not counted.
     """
-    worst = 0.0
-    for _ in range(10):
-        f = _span_probe(model, rng)
-        values = [float(semigroup_form(model, n, f)) for n in range(16)]
-        for before, after in zip(values, values[1:]):
-            if before - after > 1e-12:
-                worst = max(worst, before - after)
-    return _result(f"time-monotonicity[{model.name}]", worst, 1e-12)
+    f = _span_probe(model, rng, 10)
+    drops = -np.diff([semigroup_form(model, n, f) for n in range(16)], axis=0)
+    # Written so that a NaN drop is kept, not zeroed.
+    return _result(
+        f"time-monotonicity[{model.name}]", np.where(drops <= 1e-12, 0.0, drops), 1e-12
+    )
 
 
 def audit_energy_exhaustion(
@@ -178,18 +176,13 @@ def audit_energy_exhaustion(
     power of the top excited frequency, so heavy high-mode content would
     test float granularity rather than the limit.
     """
-    worst_gap = 0.0
-    worst_order = 0.0
-    for _ in range(5):
-        f = _span_probe(model, rng, decay=0.25)
-        exact = model.exact_form(f)
-        values = np.array([semigroup_form(model, n, f) for n in range(0, 31)])
-        worst_order = max(worst_order, float(-np.diff(values).min()))
-        worst_order = max(worst_order, float(values.max()) - exact)
-        worst_gap = max(worst_gap, exact - values[-1])
+    f = _span_probe(model, rng, 5, decay=0.25)
+    exact = model.exact_form(f)
+    values = np.array([semigroup_form(model, n, f) for n in range(0, 31)])
+    order = (-np.diff(values, axis=0), values.max(axis=0, keepdims=True) - exact)
     return [
-        _result(f"energy-exhaustion-order[{model.name}]", max(0.0, worst_order), 1e-10),
-        _result(f"energy-exhaustion-limit[{model.name}]", worst_gap, 1e-6),
+        _result(f"energy-exhaustion-order[{model.name}]", np.concatenate(order), 1e-10),
+        _result(f"energy-exhaustion-limit[{model.name}]", exact - values[-1], 1e-6),
     ]
 
 
@@ -207,9 +200,7 @@ def audit_conditioning(
     space = model.space
     part = level_partition(basis, min(4, basis.n_vectors - 1), 3)
     mass_err = abs(part.masses.sum() - space.total_mass)
-    contraction = 0.0
-    ortho = 0.0
-    idem = 0.0
+    contraction, ortho, idem = [], [], []
     for _ in range(20):
         f = rng.standard_normal(space.size)
         l = rng.integers(1, space.l_max + 1)
@@ -218,13 +209,13 @@ def audit_conditioning(
         g = sf.expand()
         masked = np.zeros_like(f)
         masked[restrict] = f[restrict]
-        contraction = max(contraction, space.norm(g) - space.norm(masked))
+        contraction.append(space.norm(g) - space.norm(masked))
         resid = masked - g
         # <resid, 1_{cell & restrict}> for every cell at once.
         cell_inner = part.cell_sums(resid * space.weights * space.exhaustion_mask(l))
-        ortho = max(ortho, float(np.abs(cell_inner).max()))
+        ortho.append(np.abs(cell_inner).max())
         again = condition_on_partition(g, part, space, restrict_to=restrict)
-        idem = max(idem, float(np.abs(again.expand() - g).max()))
+        idem.append(np.abs(again.expand() - g).max())
     return [
         _result("conditioning-mass", mass_err, 1e-12),
         _result("conditioning-contraction", contraction, 1e-12),
@@ -235,16 +226,15 @@ def audit_conditioning(
 
 def audit_tail_mass(parts: dict) -> AuditResult:
     """Joint tail cells carry at most m * 2^(-2k) of the total mass."""
-    worst = 0.0
-    for (m, k), part in parts.items():
-        tail = float(part.masses[part.tail_mask].sum())
-        worst = max(worst, tail - m * 2.0 ** (-2 * k))
-    return _result("tail-cell-mass", worst, 1e-15)
+    excess = [
+        part.masses[part.tail_mask].sum() - m * 2.0 ** (-2 * k) for (m, k), part in parts.items()
+    ]
+    return _result("tail-cell-mass", excess, 1e-15)
 
 
 def audit_cell_oscillation(basis: OrthonormalBasis, parts: dict) -> AuditResult:
     """Inside non-tail cells each projected mode moves at most 2^-k."""
-    worst = 0.0
+    excess = []
     for (m, k), part in parts.items():
         sites = part.support[~part.tail_mask[part.cell_of[part.support]]]
         if sites.size == 0:
@@ -257,8 +247,8 @@ def audit_cell_oscillation(basis: OrthonormalBasis, parts: dict) -> AuditResult:
         osc = np.maximum.reduceat(block, starts, axis=1) - np.minimum.reduceat(
             block, starts, axis=1
         )
-        worst = max(worst, float(osc.max()) - 2.0 ** -k)
-    return _result("cell-oscillation", worst, 1e-12)
+        excess.append(osc.max() - 2.0 ** -k)
+    return _result("cell-oscillation", excess, 1e-12)
 
 
 def audit_partition_refinement(parts: dict) -> AuditResult:
@@ -278,15 +268,15 @@ def audit_projection_composition(
     model: SpectralModel, basis: OrthonormalBasis, rng: np.random.Generator
 ) -> AuditResult:
     """Galerkin stage equals the bare stage of the projected input."""
-    worst = 0.0
+    gaps = []
     for _ in range(20):
         f = rng.standard_normal(model.space.size)
         n = int(rng.integers(0, 9))
         m = int(rng.integers(1, basis.n_vectors + 1))
         st = Stage(model, basis, StageIndex(n, m))
         direct = semigroup_form(model, n, galerkin_projection(basis, m, f))
-        worst = max(worst, abs(st.form(f) - direct))
-    return _result(f"projection-composition[{model.name}]", worst, 1e-10)
+        gaps.append(abs(st.form(f) - direct))
+    return _result(f"projection-composition[{model.name}]", gaps, 1e-10)
 
 
 def audit_stage_bounds(
@@ -298,14 +288,13 @@ def audit_stage_bounds(
     dyadic level.
     """
     space = model.space
-    worst = 0.0
+    excess = []
     for stage in stages:
-        for _ in range(15):
-            f = rng.standard_normal(space.size)
-            value = stage.form(f)
-            cap = stage.index.bound * space.inner(f, f)
-            worst = max(worst, max(-value, value - cap) / cap)
-    return _result(f"stage-bounds[{model.name}]", max(0.0, worst), 1e-12)
+        f = rng.standard_normal((15, space.size))
+        value = stage.form(f)
+        cap = stage.index.bound * space.inner(f, f)
+        excess.append(np.maximum(-value, value - cap) / cap)
+    return _result(f"stage-bounds[{model.name}]", excess, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +331,7 @@ def audit_identification(kernels, rng: np.random.Generator) -> list[AuditResult]
 
 def audit_unit_contraction(graphs_named, rng: np.random.Generator) -> AuditResult:
     """Clipping to [0,1] and capping |f| never raise the graph energy."""
-    worst = 0.0
+    excess = []
     for _, g in graphs_named:
         for _ in range(100):
             alpha = rng.standard_normal(g.n_vertices) * 2.0
@@ -350,8 +339,8 @@ def audit_unit_contraction(graphs_named, rng: np.random.Generator) -> AuditResul
             unit = graph_energy(g, np.clip(alpha, 0.0, 1.0))
             cap = rng.uniform(0.2, 2.0)
             capped = graph_energy(g, np.sign(alpha) * np.minimum(np.abs(alpha), cap))
-            worst = max(worst, unit - base, capped - base)
-    return _result("unit-contraction", worst, 1e-10)
+            excess.append((unit - base, capped - base))
+    return _result("unit-contraction", excess, 1e-10)
 
 
 def _random_lipschitz(rng: np.random.Generator):
@@ -372,7 +361,7 @@ def audit_normal_contraction(graphs_named, rng: np.random.Generator) -> AuditRes
     1-Lipschitz map fixing zero; then sqrt E(F(f_1..f_j)) is at most
     sum_i sqrt E(f_i).
     """
-    worst = 0.0
+    excess = []
     for _, g in graphs_named:
         for _ in range(40):
             j = int(rng.integers(1, 4))
@@ -385,8 +374,8 @@ def audit_normal_contraction(graphs_named, rng: np.random.Generator) -> AuditRes
             for w, gmap, f in zip(weights, maps, fs):
                 combined += w * gmap(f)
                 budget += np.sqrt(graph_energy(g, f))
-            worst = max(worst, np.sqrt(graph_energy(g, combined)) - budget)
-    return _result("normal-contraction", worst, 1e-10)
+            excess.append(np.sqrt(graph_energy(g, combined)) - budget)
+    return _result("normal-contraction", excess, 1e-10)
 
 
 def audit_extraction_tower(
@@ -403,12 +392,10 @@ def audit_extraction_tower(
     assert coarse.partition is not None and fine.partition is not None
     lift = coarse.partition.cell_of
     first = fine.partition.first_sites
-    worst = 0.0
-    for _ in range(25):
-        alpha = rng.standard_normal(coarse.n_vertices)
-        beta = alpha[lift[first]]
-        worst = max(worst, abs(graph_energy(coarse, alpha) - graph_energy(fine, beta)))
-    return _result(f"extraction-tower[{model.name}]", worst, 1e-9)
+    alpha = rng.standard_normal((25, coarse.n_vertices))
+    beta = alpha[:, lift[first]]
+    gaps = np.abs(graph_energy(coarse, alpha) - graph_energy(fine, beta))
+    return _result(f"extraction-tower[{model.name}]", gaps, 1e-9)
 
 
 def audit_extraction_symmetry(kernels, warped: np.ndarray | None = None) -> AuditResult:
@@ -419,7 +406,6 @@ def audit_extraction_symmetry(kernels, warped: np.ndarray | None = None) -> Audi
     No MarkovKernelModel accepts an asymmetric matrix, so it is passed
     bare.
     """
-    worst = 0.0
     bad = []
     for i, kernel in enumerate(kernels):
         operator, name = kernel, kernel.name
@@ -429,10 +415,9 @@ def audit_extraction_symmetry(kernels, warped: np.ndarray | None = None) -> Audi
         try:
             extract_graph(operator, part, kernel.space)
         except SymmetryError:
-            worst = 1.0
             bad.append(name)
     detail = f"asymmetric: {', '.join(bad)}" if bad else f"{len(kernels)} kernels"
-    return _result("extraction-symmetry", worst, 0.0, detail)
+    return _result("extraction-symmetry", float(bool(bad)), 0.0, detail)
 
 
 def audit_rejects_asymmetry(rng: np.random.Generator) -> AuditResult:
@@ -456,18 +441,15 @@ def audit_resolvent_contraction(
 ) -> AuditResult:
     """lambda * G_lambda is a contraction for stages and the model alike."""
     space = model.space
-    worst = 0.0
+    excess = []
     for stage in stages:
-        sf = stage.form_data
-        for _ in range(10):
-            f = rng.standard_normal(space.size)
-            nf = space.norm(f)
-            for lam in (1.0, 2.0):
-                u = stage_resolvent(sf, lam, f)
-                worst = max(worst, lam * space.norm(u) - nf)
-                v = model.exact_resolvent(lam, f)
-                worst = max(worst, lam * space.norm(v) - nf)
-    return _result(f"resolvent-contraction[{model.name}]", worst, 1e-10)
+        f = rng.standard_normal((10, space.size))
+        nf = space.norm(f)
+        for lam in (1.0, 2.0):
+            u = stage_resolvent(stage.form_data, lam, f)
+            v = model.exact_resolvent(lam, f)
+            excess += [lam * space.norm(u) - nf, lam * space.norm(v) - nf]
+    return _result(f"resolvent-contraction[{model.name}]", excess, 1e-10)
 
 
 def audit_resolvent_identity(
@@ -475,16 +457,15 @@ def audit_resolvent_identity(
 ) -> AuditResult:
     """G_a - G_b = (b - a) G_a G_b on random vectors, a, b in {1, 2}."""
     space = model.space
-    worst = 0.0
+    gaps = []
     for stage in stages:
         sf = stage.form_data
-        for _ in range(10):
-            f = rng.standard_normal(space.size)
-            ga = stage_resolvent(sf, 1.0, f)
-            gb = stage_resolvent(sf, 2.0, f)
-            gab = stage_resolvent(sf, 1.0, gb)
-            worst = max(worst, space.norm(ga - gb - gab))
-    return _result(f"resolvent-identity[{model.name}]", worst, 1e-9)
+        f = rng.standard_normal((10, space.size))
+        ga = stage_resolvent(sf, 1.0, f)
+        gb = stage_resolvent(sf, 2.0, f)
+        gab = stage_resolvent(sf, 1.0, gb)
+        gaps.append(space.norm(ga - gb - gab))
+    return _result(f"resolvent-identity[{model.name}]", gaps, 1e-9)
 
 
 def audit_form_generator_consistency(
@@ -495,14 +476,12 @@ def audit_form_generator_consistency(
     Off the subspace the generator is zero by convention while the bare
     dyadic form is not, so probes are drawn inside the recorded span.
     """
-    worst = 0.0
+    gaps = []
     for stage in stages:
         sf = stage.form_data
-        for _ in range(10):
-            coeffs = rng.standard_normal(sf.subspace.shape[0])
-            f = coeffs @ sf.subspace
-            worst = max(worst, abs(sf.quad_form(f) - stage.form(f)))
-    return _result(f"form-generator[{model.name}]", worst, 1e-10)
+        f = rng.standard_normal((10, sf.dim)) @ sf.subspace
+        gaps.append(np.abs(sf.quad_form(f) - stage.form(f)))
+    return _result(f"form-generator[{model.name}]", gaps, 1e-10)
 
 
 # ---------------------------------------------------------------------------

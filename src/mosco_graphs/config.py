@@ -165,11 +165,14 @@ def _vector_spec(value, path: str) -> TestVectorSpec:
     for key in value:
         if key not in known:
             raise ConfigError(f"{path}.{key}: unknown field (known: {sorted(known)})")
+    default = TestVectorSpec()
     return TestVectorSpec(
-        n_basis=_as_int(value.get("basis", 8), f"{path}.basis", low=0),
-        n_span=_as_int(value.get("span", 4), f"{path}.span", low=0),
-        n_step=_as_int(value.get("step", 2), f"{path}.step", low=0),
-        include_constant=_as_bool(value.get("constant", True), f"{path}.constant"),
+        n_basis=_as_int(value.get("basis", default.n_basis), f"{path}.basis", low=0),
+        n_span=_as_int(value.get("span", default.n_span), f"{path}.span", low=0),
+        n_step=_as_int(value.get("step", default.n_step), f"{path}.step", low=0),
+        include_constant=_as_bool(
+            value.get("constant", default.include_constant), f"{path}.constant"
+        ),
     )
 
 

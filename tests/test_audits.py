@@ -1,10 +1,18 @@
 """Audit families pass on sound input and fail on corrupted input."""
 import numpy as np
+import pytest
 
 from mosco_graphs import (
     CellPartition,
+    MarkovKernelModel,
+    SpectralModel,
+    Stage,
+    StageForm,
+    StageIndex,
     WeightedGraph,
     audits,
+    birth_death_kernel,
+    birth_death_model,
     graphs,
     level_partition,
     random_kernel_model,
@@ -18,6 +26,21 @@ KS = (1, 2, 3)
 def by_name(results, name):
     (match,) = [r for r in results if r.name == name]
     return match
+
+
+class TestKernelValidityAudit:
+    def test_passes(self):
+        assert audits.audit_kernel_validity(birth_death_kernel(4)).passed
+
+    def test_nan_entry_fails(self):
+        # Every comparison in the kernel constructor is false for NaN, so it
+        # accepts this kernel; the audit must not drop the NaN residual.
+        kernel = birth_death_kernel(4)
+        P = kernel.kernel.copy()
+        P[1, 2] = np.nan
+        result = audits.audit_kernel_validity(MarkovKernelModel("nan", kernel.space, P))
+        assert not result.passed
+        assert np.isnan(result.residual)
 
 
 class TestConditioningAudit:
@@ -137,9 +160,10 @@ class TestExtractionTowerAudit:
 
 
 def killing_free_energy(graph, alpha):
-    """The graph energy with the killing term forgotten."""
+    """The graph energy with the killing term forgotten; batched."""
     alpha = np.asarray(alpha, dtype=float)
-    return float(np.sum(graph.conductances * (alpha[:, None] - alpha[None, :]) ** 2) / 2)
+    diffs = alpha[..., :, None] - alpha[..., None, :]
+    return np.sum(graph.conductances * diffs**2, axis=(-2, -1)) / 2
 
 
 class TestIdentificationAudit:
@@ -188,3 +212,173 @@ class TestNormalContractionAudit:
         monkeypatch.setattr(audits, "_random_lipschitz", lambda rng: lambda x: 2.0 * x)
         rng = np.random.default_rng(19)
         assert not audits.audit_normal_contraction([("pair", pair_graph(0.0))], rng).passed
+
+    def test_negative_energy_fails(self):
+        # The energy of the constant is -2 on this graph, so some root
+        # energies are NaN; a NaN residual must fail, not be skipped.
+        rng = np.random.default_rng(19)
+        with np.errstate(invalid="ignore"):
+            result = audits.audit_normal_contraction([("pair", pair_graph(-1.0))], rng)
+        assert not result.passed
+        assert np.isnan(result.residual)
+
+
+# ---------------------------------------------------------------------------
+# The families that draw their probes as one batch.
+
+STAGE_FAMILIES = (
+    "stage_bounds",
+    "resolvent_contraction",
+    "resolvent_identity",
+    "form_generator_consistency",
+)
+STAGE_INDICES = (StageIndex(2), StageIndex(4, 4), StageIndex(6, 8, 2, 4))
+
+# Not the first row, so a reduction that reads only row 0 misses it.
+ROW = 3
+
+
+@pytest.fixture(scope="module")
+def models(neumann_small):
+    # The chain is complete, so P_t comes close to an isometry at small t;
+    # on the truncated neumann model P_t f loses f's off-span part.
+    return {"neumann": neumann_small, "chain": birth_death_model(sites=16)}
+
+
+def run_family(family, model, rng):
+    """The audit lines of one batched family on ``model``."""
+    audit = getattr(audits, f"audit_{family}")
+    if family in STAGE_FAMILIES:
+        stages = [Stage(model, model.basis, index) for index in STAGE_INDICES]
+        out = audit(model, stages, rng)
+    else:
+        out = audit(model, rng)
+    return out if isinstance(out, list) else [out]
+
+
+def corrupt_row(monkeypatch, owner, name, factor, level=None):
+    """Scale row ROW of each result of ``owner.name`` by ``factor``.
+
+    With ``level``, only calls whose second argument (n or lambda) equals it.
+    """
+    exact = getattr(owner, name)
+
+    def corrupted(*args):
+        out = np.array(exact(*args))
+        if level is None or args[1] == level:
+            out[ROW] *= factor
+        return out
+
+    monkeypatch.setattr(owner, name, corrupted)
+
+
+# family, audit line, model, corrupted internal, factor on one row, level.
+# Each factor is small enough that the mean residual stays under the
+# tolerance, so a mean in place of the maximum is caught too; only time
+# monotonicity cannot do that, as its healthy residuals are all 0.
+CONTROLS = [
+    ("semigroup_contraction", "semigroup-contraction", "chain",
+     SpectralModel, "apply_semigroup", 1 + 1e-3, None),
+    ("markov_range", "markov-range", "neumann", SpectralModel, "apply_semigroup", 2.0, None),
+    ("time_monotonicity", "time-monotonicity", "neumann", audits, "semigroup_form", 0.99, 15),
+    ("energy_exhaustion", "energy-exhaustion-order", "neumann",
+     audits, "semigroup_form", 1 + 1e-6, 30),
+    ("energy_exhaustion", "energy-exhaustion-limit", "neumann",
+     SpectralModel, "exact_form", 1 + 1e-5, None),
+    ("stage_bounds", "stage-bounds", "neumann", Stage, "form", -1e-6, None),
+    ("resolvent_contraction", "resolvent-contraction", "neumann",
+     audits, "stage_resolvent", 1 + 1e-3, None),
+    ("resolvent_identity", "resolvent-identity", "neumann",
+     audits, "stage_resolvent", 1 + 1e-8, None),
+    ("form_generator_consistency", "form-generator", "neumann",
+     StageForm, "quad_form", 1 + 1e-11, None),
+]
+
+
+class TestBatchedFamilies:
+    @pytest.mark.parametrize(
+        "family, line, model, owner, name, factor, level", CONTROLS, ids=[c[1] for c in CONTROLS]
+    )
+    def test_one_wrong_row_fails(
+        self, models, monkeypatch, family, line, model, owner, name, factor, level
+    ):
+        model = models[model]
+        line = f"{line}[{model.name}]"
+        assert by_name(run_family(family, model, np.random.default_rng(23)), line).passed
+        corrupt_row(monkeypatch, owner, name, factor, level)
+        assert not by_name(run_family(family, model, np.random.default_rng(23)), line).passed
+
+    # The identity feeds a NaN row to a second resolvent solve, which
+    # refuses it with a ValueError before the audit sees a residual.
+    @pytest.mark.parametrize(
+        "family, line, model, owner, name, factor, level",
+        [c for c in CONTROLS if c[0] != "resolvent_identity"],
+        ids=[c[1] for c in CONTROLS if c[0] != "resolvent_identity"],
+    )
+    def test_one_nan_row_fails(
+        self, models, monkeypatch, family, line, model, owner, name, factor, level
+    ):
+        model = models[model]
+        corrupt_row(monkeypatch, owner, name, np.nan, level)
+        results = run_family(family, model, np.random.default_rng(23))
+        result = by_name(results, f"{line}[{model.name}]")
+        assert not result.passed
+        assert np.isnan(result.residual)
+
+
+def sequential_draws(family, model, rng):
+    """The draws each family made one probe at a time before it was batched."""
+    size = model.space.size
+    low = min(8, model.n_modes)
+    if family == "semigroup_contraction":
+        for _ in range(25):
+            rng.standard_normal(size)
+    elif family == "markov_range":
+        for _ in range(25):
+            rng.uniform(0.0, 1.0, size=size)
+    elif family in ("time_monotonicity", "energy_exhaustion"):
+        for _ in range(10 if family == "time_monotonicity" else 5):
+            rng.standard_normal(low)
+    else:
+        for index in STAGE_INDICES:
+            dim = Stage(model, model.basis, index).form_data.dim
+            for _ in range(15 if family == "stage_bounds" else 10):
+                rng.standard_normal(dim if family == "form_generator_consistency" else size)
+
+
+class TestProbeCounts:
+    """Each batch draws exactly the numbers the sequential probes drew."""
+
+    @pytest.mark.parametrize("family", sorted({c[0] for c in CONTROLS}))
+    def test_family_ends_in_the_sequential_state(self, models, family):
+        rng, reference = np.random.default_rng(29), np.random.default_rng(29)
+        run_family(family, models["neumann"], rng)
+        sequential_draws(family, models["neumann"], reference)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_extraction_tower(self, neumann_small):
+        rng, reference = np.random.default_rng(29), np.random.default_rng(29)
+        audits.audit_extraction_tower(neumann_small, neumann_small.basis, rng)
+        coarse = graphs.final_stage_graph(
+            neumann_small, neumann_small.basis, StageIndex(4, 4, neumann_small.space.l_max, 2)
+        )
+        for _ in range(25):
+            reference.standard_normal(coarse.n_vertices)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_identification(self, monkeypatch):
+        made = []
+        default_rng = np.random.default_rng
+
+        def recorded(seed):
+            made.append(default_rng(seed))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recorded)
+        kernel = random_kernel_model(8, default_rng(13))
+        graphs.verify_identification(kernel, seed=5)
+        reference = default_rng(5)
+        for _ in range(100):
+            reference.standard_normal(kernel.size)
+        (rng,) = made
+        assert rng.bit_generator.state == reference.bit_generator.state

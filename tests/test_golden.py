@@ -13,8 +13,9 @@ them since.  The hashes of ``convergence.csv``, ``audits.json`` and both
 covers.  They were updated when cell averages went through
 ``cell_sums`` and stage generators were assembled from factored image
 modes, and the hashes of ``audits.json`` and both ``verify`` stdouts
-again when ``graph_energy`` took its Laplacian form, each time with
-that gate passing against its unchanged references.  A change that
+again when ``graph_energy`` took its Laplacian form and when the audit
+families drew their probes as one batch, each time with that gate
+passing against its unchanged references.  A change that
 reorders floating-point arithmetic may update these four, and only
 these, in the same way.
 """
@@ -39,7 +40,7 @@ CONFIG = {
 RUN_SHA256 = {
     "convergence.csv": "4b1b4bd98abad50a40f6d23e78904079c82e4b7a2dbe4c2767c997b02ce6b5ca",
     "graph_n6_m8_l4_k3.json": "a467f35e03eebef8097ca8b08c598dd2024af1c744e34ff27ad1596d77787662",
-    "audits.json": "e13e28e1858d32078a8ef02f201636f4306b54b4ba33d722b530d5e3c6e8bc87",
+    "audits.json": "f9297add11a3136c5cc2ac66c7982772f7cc6f525ef09dd7a188693f2c39e40f",
 }
 
 EXPORT_SHA256 = {
@@ -64,8 +65,8 @@ def test_artifact_bytes_match_stored_hashes(tmp_path, command, expected):
 
 
 VERIFY_SHA256 = {
-    (): "22d3956e53e8e459fd34a3a9b96b06aa7b269ab32f50571136fbcd445e81df3e",
-    ("--inject-asymmetry",): "85858173f4b4caf624abbb6b1183cc5d75e6d7a08e96bc015c1f431e3f246feb",
+    (): "8856637eaf897595dc728bc87d98e69b46bcb7d82567bf1dd1044e9edb706d3f",
+    ("--inject-asymmetry",): "fd911462072395148501aee75596ce1465153b5010705fa818027121ecceed0a",
 }
 
 INJECTED_FAIL = (

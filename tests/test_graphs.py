@@ -159,19 +159,29 @@ class TestGraphValidation:
         v = graph.n_vertices
         c, kappa = graph.conductances, graph.killing
         ij = [(i, j) for i in range(v) for j in range(v)]
+
+        def operands(a):
+            # The Laplacian form cancels where a is nearly constant, so its
+            # error is bounded by the size of the operands, not of the result.
+            out = 0.5 * math.fsum(c[i, j] * (a[i] ** 2 + a[j] ** 2) for i, j in ij)
+            return out + math.fsum(kappa * a**2)
+
         explicit = 0.5 * math.fsum(c[i, j] * (alpha[i] - alpha[j]) ** 2 for i, j in ij)
         explicit += math.fsum(kappa * alpha**2)
-        # The Laplacian form cancels where alpha is nearly constant, so its
-        # error is bounded by the size of the operands, not of the result.
-        operands = 0.5 * math.fsum(c[i, j] * (alpha[i] ** 2 + alpha[j] ** 2) for i, j in ij)
-        operands += math.fsum(kappa * alpha**2)
-        assert abs(graph_energy(graph, alpha) - explicit) <= 1e-12 * operands
+        assert abs(graph_energy(graph, alpha) - explicit) <= 1e-12 * operands(alpha)
         assert graph_energy(graph, alpha.tolist()) == graph_energy(graph, alpha)
+        stack = np.stack([alpha, alpha[::-1], -2.0 * alpha])
+        batch = graph_energy(graph, stack)
+        assert batch.shape == (3,)
+        for row, value in zip(stack, batch):
+            assert abs(value - graph_energy(graph, row)) <= 1e-12 * operands(row)
         part = CellPartition(cell_of=np.arange(v), masses=graph.vertex_weights)
         with pytest.raises(DimensionMismatch):
             graph_energy(graph, StepFunction(part, alpha))
         with pytest.raises(DimensionMismatch):
             graph_energy(graph, np.ones(v + 1))
+        with pytest.raises(DimensionMismatch):
+            graph_energy(graph, np.ones((3, v + 1)))
 
     def test_energy_is_nonnegative(self):
         rng = np.random.default_rng(41)
