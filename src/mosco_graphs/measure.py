@@ -115,13 +115,19 @@ class AmbientSpace:
         return np.sqrt(self.inner(f, f))
 
     def coefficients(self, rows: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """Weighted inner products <f, row_k> against every row; batched over f."""
+        """Weighted inner products <f, row_k> against every row; batched over f.
+
+        One 2-D matmul of f·w against the rows, with the leading axes of f
+        flattened: a stacked matmul would round a batch differently from
+        its rows taken alone.
+        """
         f = np.asarray(f, dtype=float)
-        if f.shape[-1] != self.size:
+        if f.shape[-1] != self.size or rows.shape[-1] != self.size:
             raise DimensionMismatch(
-                f"expected last axis {self.size}, got {f.shape[-1]}"
+                f"expected last axis {self.size}, got {f.shape[-1]} and {rows.shape[-1]}"
             )
-        return np.einsum("km,m,...m->...k", rows, self.weights, f)
+        flat = (f * self.weights).reshape(-1, self.size) @ rows.T
+        return flat.reshape(*f.shape[:-1], len(rows))
 
     def split(self, rows: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients of f against orthonormal rows, and the rest of f off their span."""

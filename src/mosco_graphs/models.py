@@ -144,8 +144,9 @@ class SpectralModel:
 class MarkovKernelModel:
     """A one-step kernel P on a small weighted space.
 
-    Validated at construction: entries nonnegative, row sums at most one,
-    and weighted symmetry w(x) P(x, y) = w(y) P(y, x), each to KERNEL_TOL.
+    Validated at construction: entries finite and nonnegative, row sums at
+    most one, and weighted symmetry w(x) P(x, y) = w(y) P(y, x), each to
+    KERNEL_TOL.
     """
 
     name: str
@@ -157,6 +158,9 @@ class MarkovKernelModel:
         n = self.space.size
         if P.shape != (n, n):
             raise DimensionMismatch(f"kernel must be ({n}, {n}), got {P.shape}")
+        # NaN slips through every comparison below, so finiteness comes first.
+        if not np.all(np.isfinite(P)):
+            raise ValueError("kernel must be finite")
         if np.any(self.space.weights <= 0):
             raise ValueError("kernel models need strictly positive weights")
         if np.min(P) < -KERNEL_TOL:

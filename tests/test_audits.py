@@ -32,13 +32,23 @@ class TestKernelValidityAudit:
     def test_passes(self):
         assert audits.audit_kernel_validity(birth_death_kernel(4)).passed
 
-    def test_nan_entry_fails(self):
-        # Every comparison in the kernel constructor is false for NaN, so it
-        # accepts this kernel; the audit must not drop the NaN residual.
-        kernel = birth_death_kernel(4)
+    @staticmethod
+    def nan_kernel(kernel):
         P = kernel.kernel.copy()
         P[1, 2] = np.nan
-        result = audits.audit_kernel_validity(MarkovKernelModel("nan", kernel.space, P))
+        return P
+
+    def test_nan_entry_is_refused(self):
+        kernel = birth_death_kernel(4)
+        with pytest.raises(ValueError, match="kernel"):
+            MarkovKernelModel("nan", kernel.space, self.nan_kernel(kernel))
+
+    def test_nan_entry_fails(self):
+        # The constructor refuses this kernel, so it is put into a built
+        # model; the audit must not drop the NaN residual.
+        kernel = birth_death_kernel(4)
+        object.__setattr__(kernel, "kernel", self.nan_kernel(kernel))
+        result = audits.audit_kernel_validity(kernel)
         assert not result.passed
         assert np.isnan(result.residual)
 
@@ -308,12 +318,8 @@ class TestBatchedFamilies:
         corrupt_row(monkeypatch, owner, name, factor, level)
         assert not by_name(run_family(family, model, np.random.default_rng(23)), line).passed
 
-    # The identity feeds a NaN row to a second resolvent solve, which
-    # refuses it with a ValueError before the audit sees a residual.
     @pytest.mark.parametrize(
-        "family, line, model, owner, name, factor, level",
-        [c for c in CONTROLS if c[0] != "resolvent_identity"],
-        ids=[c[1] for c in CONTROLS if c[0] != "resolvent_identity"],
+        "family, line, model, owner, name, factor, level", CONTROLS, ids=[c[1] for c in CONTROLS]
     )
     def test_one_nan_row_fails(
         self, models, monkeypatch, family, line, model, owner, name, factor, level

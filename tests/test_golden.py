@@ -11,8 +11,9 @@ partitions became site -> cell label vectors, and no change has moved
 them since.  The hashes of ``convergence.csv``, ``audits.json`` and both
 ``verify`` stdouts are the ones the deviation gate of ``test_deviation``
 covers.  They were updated when cell averages went through
-``cell_sums`` and stage generators were assembled from factored image
-modes, and the hashes of ``audits.json`` and both ``verify`` stdouts
+``cell_sums``, when stage generators were assembled from factored image
+modes and when ``AmbientSpace.coefficients`` became one flattened
+matmul, and the hashes of ``audits.json`` and both ``verify`` stdouts
 again when ``graph_energy`` took its Laplacian form and when the audit
 families drew their probes as one batch, each time with that gate
 passing against its unchanged references.  A change that
@@ -38,9 +39,9 @@ CONFIG = {
 }
 
 RUN_SHA256 = {
-    "convergence.csv": "4b1b4bd98abad50a40f6d23e78904079c82e4b7a2dbe4c2767c997b02ce6b5ca",
+    "convergence.csv": "bf1a5366816f6bf6e7b1b2335b90b365e1851fd12201f24b1b884b1b9c929e0d",
     "graph_n6_m8_l4_k3.json": "a467f35e03eebef8097ca8b08c598dd2024af1c744e34ff27ad1596d77787662",
-    "audits.json": "f9297add11a3136c5cc2ac66c7982772f7cc6f525ef09dd7a188693f2c39e40f",
+    "audits.json": "e0382a7f71d4a99500b49f57c0378c0344f535eab9e20c317bb2b51c78fd9814",
 }
 
 EXPORT_SHA256 = {
@@ -65,8 +66,8 @@ def test_artifact_bytes_match_stored_hashes(tmp_path, command, expected):
 
 
 VERIFY_SHA256 = {
-    (): "8856637eaf897595dc728bc87d98e69b46bcb7d82567bf1dd1044e9edb706d3f",
-    ("--inject-asymmetry",): "fd911462072395148501aee75596ce1465153b5010705fa818027121ecceed0a",
+    (): "b757fb6a566c351b19952c196194a0c2e523b91927d1b86029e26e490b0087bc",
+    ("--inject-asymmetry",): "2c3fe80b1fe9299b395af423f0e66d32560780b7e285ada35701500064bc1f1f",
 }
 
 INJECTED_FAIL = (

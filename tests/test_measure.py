@@ -1,4 +1,6 @@
 """Weighted spaces, partitions, step functions, conditioning, bases."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -54,6 +56,47 @@ class TestInnerProduct:
         basis = OrthonormalBasis.haar(space, 4)
         for row in basis.vectors:
             assert space.inner(row, row) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestCoefficients:
+    @staticmethod
+    def case():
+        rng = np.random.default_rng(13)
+        weights = rng.uniform(0.0, 2.0, 64)
+        weights[5] = 0.0
+        space = AmbientSpace(np.arange(64.0), weights, (np.arange(64),))
+        return space, rng.standard_normal((5, 64)), rng.standard_normal((2, 3, 64))
+
+    def test_leading_axes_of_f_are_kept(self):
+        space, rows, f = self.case()
+        assert space.coefficients(rows, f[0, 0]).shape == (5,)
+        assert space.coefficients(rows, f[0]).shape == (3, 5)
+        assert space.coefficients(rows, f).shape == (2, 3, 5)
+
+    def test_stacked_batch_equals_the_flattened_call(self):
+        space, rows, f = self.case()
+        flat = space.coefficients(rows, f.reshape(6, 64))
+        assert np.array_equal(space.coefficients(rows, f), flat.reshape(2, 3, 5))
+
+    def test_each_product_matches_an_exact_sum(self):
+        space, rows, f = self.case()
+        got = space.coefficients(rows, f)
+        w = space.weights
+        for b in np.ndindex(2, 3):
+            for k, row in enumerate(rows):
+                exact = math.fsum(f[b] * w * row)
+                scale = space.norm(row) * space.norm(f[b])
+                assert abs(got[b][k] - exact) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("side", ["f", "rows"])
+    def test_wrong_last_axis_rejected(self, side):
+        space, rows, f = self.case()
+        if side == "f":
+            f = f[..., :63]
+        else:
+            rows = rows[:, :63]
+        with pytest.raises(DimensionMismatch):
+            space.coefficients(rows, f)
 
 
 class TestAmbientSpace:
