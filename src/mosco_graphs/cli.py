@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -70,24 +71,17 @@ def _load(args) -> ExperimentConfig:
 
 def _build_model(config: ExperimentConfig) -> SpectralModel:
     try:
-        model = get_model(config.model, config.resolution, config.modes)
+        return get_model(config.model, config.resolution, config.modes)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"model: {exc}") from None
-    lmax = model.space.l_max
-    if config.grid_l and max(config.grid_l) > lmax:
-        raise ConfigError(
-            f"grid.l: level {max(config.grid_l)} exceeds the model exhaustion depth {lmax}"
-        )
-    for ix in config.graph_exports:
-        if ix.l is not None and ix.l > lmax:
-            raise ConfigError(
-                f"graph_exports: exhaustion level {ix.l} exceeds depth {lmax}"
-            )
-        if ix.m is not None and ix.m > model.n_modes:
-            raise ConfigError(
-                f"graph_exports: truncation {ix.m} exceeds modes = {model.n_modes}"
-            )
-    return model
+
+
+def _check_indices(field: str, indices, model: SpectralModel, basis: OrthonormalBasis) -> None:
+    for ix in indices:
+        try:
+            ix.validate_for(model, basis)
+        except ValueError as exc:
+            raise ConfigError(f"{field}: {ix.label()}: {exc}") from None
 
 
 def _build_basis(config: ExperimentConfig, model: SpectralModel) -> OrthonormalBasis:
@@ -225,6 +219,8 @@ def cmd_run(args) -> int:
     config = _load(args)
     model = _build_model(config)
     basis = _build_basis(config, model)
+    _check_indices("grid", config.sweep_grid().indices(), model, basis)
+    _check_indices("graph_exports", config.graph_exports, model, basis)
     battery = _battery(config, model, basis)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -271,14 +267,12 @@ def cmd_export_graph(args) -> int:
         if len(parts) != 4:
             raise ConfigError("--index: expected exactly four values n,m,l,k")
         try:
-            exports = (StageIndex(*parts),)
+            config = replace(config, graph_exports=(StageIndex(*parts),))
         except ValueError as exc:
             raise ConfigError(f"--index: {exc}")
-        data = config_to_dict(config)
-        data["graph_exports"] = [[ix.n, ix.m, ix.l, ix.k] for ix in exports]
-        config = config_from_dict(data)
     model = _build_model(config)
     basis = _build_basis(config, model)
+    _check_indices("graph_exports", config.graph_exports, model, basis)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for path in _export_graphs(config, model, basis, out, edge_lists=True):

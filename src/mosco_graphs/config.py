@@ -79,11 +79,9 @@ def default_config() -> ExperimentConfig:
 # dotted path used in complaints.
 
 
-def _get(data: dict, key: str, path: str, required: bool = True, default=None):
+def _get(data: dict, key: str, path: str):
     if key not in data:
-        if required:
-            raise ConfigError(f"{path}: missing required field")
-        return default
+        raise ConfigError(f"{path}: missing required field")
     return data[key]
 
 

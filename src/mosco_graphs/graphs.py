@@ -39,7 +39,7 @@ CLAMP_TOL = 1e-12
 # How asymmetric <P 1_A, 1_B> may be before extraction refuses.
 EXTRACT_SYM_TOL = 1e-8
 
-# Slack for the killing weights: nonnegative in exact arithmetic.
+# Killing-weight slack per unit of the largest conductance column sum.
 KILLING_TOL = 1e-10
 
 
@@ -80,7 +80,11 @@ class WeightedGraph:
             raise SymmetryError("conductances must form a symmetric matrix")
         if np.min(c) < 0:
             raise ValueError(f"negative conductance {np.min(c):.3e}")
-        if np.min(kappa) < -KILLING_TOL * max(1.0, self.scale):
+        # kappa_j = scale * mu_j - sum_i c_ij cancels against the column sums
+        # of c, not against scale; an overflowing sum leaves no bound.
+        with np.errstate(over="ignore"):
+            slack = KILLING_TOL * max(1.0, float(np.max(c.sum(axis=0))))
+        if np.min(kappa) < -slack:
             raise ValueError(f"killing weight {np.min(kappa):.3e} below tolerance")
         for arr in (mu, c, kappa):
             arr.setflags(write=False)
@@ -91,10 +95,6 @@ class WeightedGraph:
     @property
     def n_vertices(self) -> int:
         return self.vertex_weights.size
-
-    @property
-    def is_conservative(self) -> bool:
-        return bool(np.max(np.abs(self.killing)) <= KILLING_TOL * max(1.0, self.scale))
 
 
 def extract_graph(
@@ -148,8 +148,10 @@ def extract_graph(
 def graph_energy(graph: WeightedGraph, alpha):
     """Energy 1/2 sum_ij (a_i - a_j)^2 c_ij + sum_j a_j^2 kappa_j of per-vertex values.
 
-    Evaluated in Laplacian form, a^T (D - C) a + sum_j kappa_j a_j^2 with D
+    Evaluated in Laplacian form, b^T (D - C) b + sum_j kappa_j a_j^2 with D
     the column sums of C on the diagonal, so only per-vertex arrays are built.
+    The conductance part ignores shifts, so b = a - mean(a) keeps its two
+    terms from cancelling on nearly constant values.
     Batched over leading axes of alpha; a float for one vector.
     """
     if np.shape(alpha)[-1:] != (graph.n_vertices,):
@@ -158,8 +160,9 @@ def graph_energy(graph: WeightedGraph, alpha):
         )
     alpha = np.asarray(alpha, dtype=float)
     c = graph.conductances
-    # C is symmetric, so alpha @ C is C alpha for every row.
-    out = (alpha * (c.sum(axis=0) * alpha - alpha @ c)).sum(axis=-1) + alpha**2 @ graph.killing
+    b = alpha - alpha.mean(axis=-1, keepdims=True)
+    # C is symmetric, so b @ C is C b for every row.
+    out = (b * (c.sum(axis=0) * b - b @ c)).sum(axis=-1) + alpha**2 @ graph.killing
     return float(out) if out.ndim == 0 else out
 
 

@@ -72,7 +72,9 @@ class AmbientSpace:
             raise ValueError("weights must be finite and nonnegative")
         sets = []
         for raw in self.exhaustion:
-            idx = np.unique(np.asarray(raw, dtype=np.intp))
+            # Sorted without repeats, as np.unique gives, which imports numpy.ma.
+            idx = np.sort(np.asarray(raw, dtype=np.intp), axis=None)
+            idx = idx[np.diff(idx, prepend=idx[:1] - 1) != 0]
             if idx.size and (idx[0] < 0 or idx[-1] >= points.size):
                 raise ValueError("exhaustion indices out of range")
             idx.setflags(write=False)

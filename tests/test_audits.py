@@ -192,11 +192,12 @@ class TestIdentificationAudit:
 
 
 def pair_graph(killing):
-    """Two vertices at scale 2^40, where the constructor's killing slack is
-    KILLING_TOL * 2^40, about 110."""
-    return WeightedGraph(
-        [1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]], [killing, killing], scale=2.0**40
-    )
+    """Two vertices joined by conductance 1 at scale 2^40, with ``killing`` at
+    both.  The constructor refuses a negative killing weight, so it is set
+    on the built graph."""
+    graph = WeightedGraph([1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]], [0.0, 0.0], scale=2.0**40)
+    object.__setattr__(graph, "killing", np.array([killing, killing]))
+    return graph
 
 
 class TestUnitContractionAudit:
@@ -204,9 +205,9 @@ class TestUnitContractionAudit:
         rng = np.random.default_rng(17)
         assert audits.audit_unit_contraction([("pair", pair_graph(0.0))], rng).passed
 
-    def test_negative_killing_inside_the_slack_fails(self):
-        # Accepted as rounding slack, a negative killing weight makes the
-        # energy of a function grow when the function is clipped toward 0.
+    def test_negative_killing_fails(self):
+        # A negative killing weight makes the energy of a function grow
+        # when the function is clipped toward 0.
         rng = np.random.default_rng(17)
         graph = pair_graph(-1.0)
         assert not audits.audit_unit_contraction([("pair", graph)], rng).passed
@@ -231,6 +232,52 @@ class TestNormalContractionAudit:
             result = audits.audit_normal_contraction([("pair", pair_graph(-1.0))], rng)
         assert not result.passed
         assert np.isnan(result.residual)
+
+
+class TestSemigroupLawAudit:
+    def test_passes(self, neumann_small):
+        assert audits.audit_semigroup_law(neumann_small, np.random.default_rng(31)).passed
+
+    def test_time_dependent_gain_fails(self, neumann_small, monkeypatch):
+        # With P_t scaled by 1 + 1e-6 t^2, P_s P_t and P_{s+t} differ by
+        # about the cross term 2e-6 st.
+        exact = SpectralModel.apply_semigroup
+        monkeypatch.setattr(
+            SpectralModel,
+            "apply_semigroup",
+            lambda self, t, f: (1 + 1e-6 * t**2) * exact(self, t, f),
+        )
+        assert not audits.audit_semigroup_law(neumann_small, np.random.default_rng(31)).passed
+
+
+class TestProjectionCompositionAudit:
+    def test_passes(self, neumann_small):
+        rng = np.random.default_rng(37)
+        assert audits.audit_projection_composition(neumann_small, neumann_small.basis, rng).passed
+
+    def test_perturbed_projection_fails(self, neumann_small, monkeypatch):
+        # Only the direct side goes through audits.galerkin_projection; the
+        # Galerkin stage projects on its own.
+        exact = audits.galerkin_projection
+        monkeypatch.setattr(
+            audits, "galerkin_projection", lambda basis, m, f: (1 + 1e-6) * exact(basis, m, f)
+        )
+        rng = np.random.default_rng(37)
+        assert not audits.audit_projection_composition(
+            neumann_small, neumann_small.basis, rng
+        ).passed
+
+
+class TestRejectsAsymmetryAudit:
+    def test_passes(self):
+        assert audits.audit_rejects_asymmetry(np.random.default_rng(41)).passed
+
+    def test_unwarped_kernel_fails(self, monkeypatch):
+        # A symmetric kernel extracts cleanly, so the refusal never comes.
+        monkeypatch.setattr(audits, "_warped", lambda kernel: kernel.kernel.copy())
+        result = audits.audit_rejects_asymmetry(np.random.default_rng(41))
+        assert not result.passed
+        assert result.detail == "asymmetry went unnoticed"
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from test_golden import CONFIG as GOLDEN_CONFIG
 
 import mosco_graphs
-from mosco_graphs import cli, read_graph_json
+from mosco_graphs import (
+    OrthonormalBasis,
+    StageIndex,
+    cli,
+    final_stage_graph,
+    neumann_model,
+    read_edge_list,
+    read_graph_json,
+)
 from mosco_graphs.config import (
     ExperimentConfig,
     config_from_dict,
@@ -19,6 +28,7 @@ from mosco_graphs.config import (
     load_config,
 )
 from mosco_graphs.errors import ConfigError
+from mosco_graphs.graphs import EDGE_EPS
 
 
 def minimal_dict(out_dir):
@@ -314,18 +324,50 @@ class TestExportCommand:
         assert re.match(needle, err) and "Traceback" not in err
 
     def test_model_bounds_are_enforced_at_startup(self, tmp_path, capsys):
-        data = minimal_dict(tmp_path / "out")
-        data["graph_exports"] = [[4, 32, 4, 2]]
+        # Every grid and export index is checked against the model before
+        # the output directory exists; the message names field and label.
+        model = neumann_model(64, 4)
+        table = tmp_path / "four_modes.txt"
+        table.write_text(
+            "".join(
+                " ".join(f"{x:.17g}" for x in [lam, *vec]) + "\n"
+                for lam, vec in zip(model.eigenvalues, model.basis.vectors)
+            )
+        )
+        exports = [[4, 8, 9, 2]]
+        cases = [
+            ("export-graph", {"graph_exports": [[4, 32, 4, 2]]},
+             "graph_exports: n4_m32_l4_k2: m = 32 exceeds the 16-vector basis"),
+            ("export-graph", {"graph_exports": exports},
+             "graph_exports: n4_m8_l9_k2: l = 9 outside exhaustion range 1..4"),
+            ("run", {"graph_exports": exports},
+             "graph_exports: n4_m8_l9_k2: l = 9 outside exhaustion range 1..4"),
+            ("run", {"grid": {"n": [2], "m": [4], "l": [1, 5]}},
+             "grid: n2_m4_l5: l = 5 outside exhaustion range 1..4"),
+            # A table with fewer modes than ``modes`` is refused at startup,
+            # not when the sweep first reaches the too-large m.
+            ("run", {"model": str(table), "grid": {"n": [2], "m": [2, 8]}},
+             "grid: n2_m8: m = 8 exceeds the 4-vector basis"),
+        ]
+        path = tmp_path / "config.json"
+        for command, fields, needle in cases:
+            data = minimal_dict(tmp_path / "out")
+            data.update(fields)
+            path.write_text(json.dumps(data))
+            assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+            assert capsys.readouterr().err == f"config error: {needle}\n"
+            assert not (tmp_path / "out").exists()
+
+    def test_export_ignores_the_sweep_grid(self, run_artifacts, tmp_path):
+        # export-graph runs no sweep, so a grid level past the exhaustion
+        # depth does not stop it.
+        cfg_path, _ = run_artifacts
+        data = json.loads(cfg_path.read_text())
+        data["grid"] = {"n": [2], "m": [4], "l": [5]}
         path = tmp_path / "config.json"
         path.write_text(json.dumps(data))
-        assert cli.main(["export-graph", "--config", str(path)]) == 2
-        assert "exceeds modes" in capsys.readouterr().err
-
-        data = minimal_dict(tmp_path / "out")
-        data["grid"] = {"n": [2], "m": [4], "l": [1, 5]}
-        path.write_text(json.dumps(data))
-        assert cli.main(["run", "--config", str(path)]) == 2
-        assert "exhaustion depth" in capsys.readouterr().err
+        args = ["export-graph", "--config", str(path), "--out", str(tmp_path / "g")]
+        assert cli.main([*args, "--index", "4,6,2,2"]) == cli.EXIT_OK
 
     def test_too_deep_time_index_fails_cleanly(self, run_artifacts, tmp_path, capsys):
         # 2^-12 is short enough that the 16-mode kernel rings negative;
@@ -343,6 +385,36 @@ class TestExportCommand:
         assert code == cli.EXIT_CONFIG_ERROR
         assert "n12_m16_l4_k2" in err
         assert "positivity" in err
+
+
+def test_haar_basis_serves_every_command(tmp_path, capsys):
+    data = minimal_dict(tmp_path / "out")
+    data.update(basis="haar", grid={"n": [2, 4], "m": [4], "l": [2], "k": [2]})
+    data["graph_exports"] = [[4, 8, 4, 2]]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    for command in ("run", "verify"):
+        assert cli.main([command, "--config", str(path)]) == cli.EXIT_OK
+        assert capsys.readouterr().out.endswith("all 58 audits passed\n")
+    dest = tmp_path / "graphs"
+    assert cli.main(["export-graph", "--config", str(path), "--out", str(dest)]) == cli.EXIT_OK
+    stem = dest / "graph_n4_m8_l4_k2"
+    model = neumann_model(256, 16)
+    graph = final_stage_graph(
+        model, OrthonormalBasis.haar(model.space, 16), StageIndex(4, 8, 4, 2)
+    )
+    kept = np.where(graph.conductances > EDGE_EPS, graph.conductances, 0.0)
+    for back in (
+        read_graph_json(f"{stem}.json"),
+        read_edge_list(f"{stem}.edges.txt", f"{stem}.vertices.txt"),
+    ):
+        assert back.scale == graph.scale
+        assert back.vertex_weights.tobytes() == graph.vertex_weights.tobytes()
+        assert back.killing.tobytes() == graph.killing.tobytes()
+        assert back.conductances.tobytes() == kept.tobytes()
+    # run writes the same graph file as export-graph.
+    ran = tmp_path / "out" / f"{stem.name}.json"
+    assert Path(f"{stem}.json").read_bytes() == ran.read_bytes()
 
 
 class TestParser:
@@ -372,6 +444,7 @@ stem = str(out / "graph_n6_m8_l4_k3")
 read_graph_json(stem + ".json")
 read_edge_list(stem + ".edges.txt", stem + ".vertices.txt")
 loaded.append("scipy.linalg" in sys.modules)
+loaded.append("numpy.ma" in sys.modules)
 assert cli.main(["run", "--config", config, "--out", str(out / "run")]) == 0
 loaded.append("scipy.linalg" in sys.modules)
 print(json.dumps(loaded))
@@ -381,7 +454,8 @@ print(json.dumps(loaded))
 def test_only_a_resolvent_solve_loads_scipy_linalg(tmp_path):
     # Export and read-back processes never solve, so they must not pay
     # for the scipy.linalg import; a run solves, which shows the probe
-    # can see the module.
+    # can see the module.  Nor do they load numpy.ma, which np.unique
+    # imports on first use.
     config = tmp_path / "config.json"
     config.write_text(json.dumps(GOLDEN_CONFIG))
     src = str(Path(mosco_graphs.__file__).resolve().parents[1])
@@ -394,7 +468,7 @@ def test_only_a_resolvent_solve_loads_scipy_linalg(tmp_path):
         timeout=600,
     )
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == [False, False, True]
+    assert json.loads(done.stdout.splitlines()[-1]) == [False, False, False, True]
 
 
 def test_star_import_resolves_every_public_name():

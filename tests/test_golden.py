@@ -14,8 +14,9 @@ covers.  They were updated when cell averages went through
 ``cell_sums``, when stage generators were assembled from factored image
 modes and when ``AmbientSpace.coefficients`` became one flattened
 matmul, and the hashes of ``audits.json`` and both ``verify`` stdouts
-again when ``graph_energy`` took its Laplacian form and when the audit
-families drew their probes as one batch, each time with that gate
+again when ``graph_energy`` took its Laplacian form, when the audit
+families drew their probes as one batch and when ``graph_energy`` took
+its conductance part on centred values, each time with that gate
 passing against its unchanged references.  A change that
 reorders floating-point arithmetic may update these four, and only
 these, in the same way.
@@ -41,7 +42,7 @@ CONFIG = {
 RUN_SHA256 = {
     "convergence.csv": "bf1a5366816f6bf6e7b1b2335b90b365e1851fd12201f24b1b884b1b9c929e0d",
     "graph_n6_m8_l4_k3.json": "a467f35e03eebef8097ca8b08c598dd2024af1c744e34ff27ad1596d77787662",
-    "audits.json": "e0382a7f71d4a99500b49f57c0378c0344f535eab9e20c317bb2b51c78fd9814",
+    "audits.json": "24e569dbb365cf635782470536833970ae826e2409c94b51cc052961219dacf5",
 }
 
 EXPORT_SHA256 = {
@@ -66,7 +67,7 @@ def test_artifact_bytes_match_stored_hashes(tmp_path, command, expected):
 
 
 VERIFY_SHA256 = {
-    (): "b757fb6a566c351b19952c196194a0c2e523b91927d1b86029e26e490b0087bc",
+    (): "ee9e2e1b04a3f239763dc7b90c5c0570d3d1a09bdb0b1785b3468e3a6c1e050c",
     ("--inject-asymmetry",): "2c3fe80b1fe9299b395af423f0e66d32560780b7e285ada35701500064bc1f1f",
 }
 

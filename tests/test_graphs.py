@@ -54,7 +54,6 @@ class TestHandComputedGraphs:
         assert np.allclose(graph.conductances, 0.5 * np.ones((2, 2)), atol=1e-14)
         assert np.allclose(graph.vertex_weights, [1.0, 1.0])
         assert np.max(np.abs(graph.killing)) <= 1e-14
-        assert graph.is_conservative
         # f = (1, 0): <f - Pf, f> = 0.5 by hand, and the edge term alone
         # carries it.
         assert graph_energy(graph, np.array([1.0, 0.0])) == pytest.approx(0.5)
@@ -76,7 +75,7 @@ class TestHandComputedGraphs:
             kernel, CellPartition.singletons(kernel.space), kernel.space
         )
         assert np.allclose(graph.killing, delta * graph.vertex_weights)
-        assert not graph.is_conservative
+        assert np.all(graph.killing > 0)
         alpha = np.array([2.0, 1.0])
         assert graph_energy(graph, alpha) == pytest.approx(
             delta * float(np.sum(alpha**2)), rel=1e-12
@@ -107,6 +106,14 @@ def energy_cases(draw):
     return graph, np.array(alpha)
 
 
+def near_constant_case():
+    """Values 1000 + 1e-3 N(0, 1) on a complete graph with unit conductances,
+    where the energy equals the centred operand bound: that bound is then
+    relative."""
+    alpha = 1000.0 + 1e-3 * np.random.default_rng(53).standard_normal(7)
+    return WeightedGraph(np.ones(7), 2.0**30 * np.ones((7, 7)), np.zeros(7), scale=2.0**30), alpha
+
+
 class TestGraphValidation:
     def test_rejects_malformed_data(self):
         mu = np.array([1.0, 2.0])
@@ -129,6 +136,10 @@ class TestGraphValidation:
             )
         with pytest.raises(ValueError, match="killing"):
             WeightedGraph(vertex_weights=mu, conductances=c, killing=np.array([-1.0, 0.0]))
+        # The killing slack follows the column sums of c, not the scale: at
+        # scale 2^40 the energy of the constant would be -2 on this graph.
+        with pytest.raises(ValueError, match="killing"):
+            WeightedGraph([1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]], [-1.0, -1.0], scale=2.0**40)
         with pytest.raises(ValueError, match="scale"):
             WeightedGraph(vertex_weights=mu, conductances=c, killing=kappa, scale=0.0)
         with pytest.raises(DimensionMismatch):
@@ -154,6 +165,7 @@ class TestGraphValidation:
 
     @settings(max_examples=200, deadline=None)
     @given(case=energy_cases())
+    @example(case=near_constant_case())
     def test_energy_input_forms(self, case):
         graph, alpha = case
         v = graph.n_vertices
@@ -161,9 +173,11 @@ class TestGraphValidation:
         ij = [(i, j) for i in range(v) for j in range(v)]
 
         def operands(a):
-            # The Laplacian form cancels where a is nearly constant, so its
-            # error is bounded by the size of the operands, not of the result.
-            out = 0.5 * math.fsum(c[i, j] * (a[i] ** 2 + a[j] ** 2) for i, j in ij)
+            # The Laplacian form can cancel, so its error is bounded by the
+            # size of its operands; it is taken on the centred values, so
+            # that size follows their spread, not their mean.
+            b = a - a.mean()
+            out = 0.5 * math.fsum(c[i, j] * (b[i] ** 2 + b[j] ** 2) for i, j in ij)
             return out + math.fsum(kappa * a**2)
 
         explicit = 0.5 * math.fsum(c[i, j] * (alpha[i] - alpha[j]) ** 2 for i, j in ij)
@@ -351,7 +365,7 @@ class TestIdentification:
         graph = extract_graph(
             kernel, CellPartition.singletons(kernel.space), kernel.space
         )
-        assert graph.is_conservative
+        assert np.max(np.abs(graph.killing)) <= KILLING_TOL
         colsums = graph.conductances.sum(axis=0)
         assert np.max(np.abs(colsums - graph.vertex_weights)) <= 1e-10
 
