@@ -23,7 +23,7 @@ import numpy as np
 
 from .convergence import stage_resolvent
 from .errors import SymmetryError
-from .graphs import extract_graph, graph_energy, verify_identification
+from .graphs import extract_graph, final_stage_graph, graph_energy, verify_identification
 from .measure import CellPartition, OrthonormalBasis, condition_on_partition
 from .models import MarkovKernelModel, SpectralModel, random_kernel_model
 from .pipeline import (
@@ -144,14 +144,11 @@ def audit_markov_range(model: SpectralModel, rng: np.random.Generator) -> AuditR
 
 
 def audit_semigroup_law(model: SpectralModel, rng: np.random.Generator) -> AuditResult:
-    gaps = []
-    for _ in range(20):
-        f = rng.standard_normal(model.space.size)
-        s, t = rng.uniform(0.0, 1.0, size=2)
-        two_step = model.apply_semigroup(s, model.apply_semigroup(t, f))
-        one_step = model.apply_semigroup(s + t, f)
-        gaps.append(model.space.norm(two_step - one_step))
-    return _result(f"semigroup-law[{model.name}]", gaps, 1e-10)
+    f = rng.standard_normal((20, model.space.size))
+    s, t = rng.uniform(0.0, 1.0, size=(2, 20))
+    two_step = model.apply_semigroup(s, model.apply_semigroup(t, f))
+    one_step = model.apply_semigroup(s + t, f)
+    return _result(f"semigroup-law[{model.name}]", model.space.norm(two_step - one_step), 1e-10)
 
 
 def audit_time_monotonicity(model: SpectralModel, rng: np.random.Generator) -> AuditResult:
@@ -196,31 +193,29 @@ def audit_energy_exhaustion(
 def audit_conditioning(
     model: SpectralModel, basis: OrthonormalBasis, rng: np.random.Generator
 ) -> list[AuditResult]:
-    """Contraction, idempotence, cell orthogonality, mass bookkeeping."""
+    """Contraction, idempotence, cell orthogonality, mass bookkeeping; each
+    probe under the measure restricted to X_l for its own random depth l."""
     space = model.space
     part = level_partition(basis, min(4, basis.n_vectors - 1), 3)
     mass_err = abs(part.masses.sum() - space.total_mass)
+    f = rng.standard_normal((20, space.size))
+    depth = rng.integers(1, space.l_max + 1, size=20)
     contraction, ortho, idem = [], [], []
-    for _ in range(20):
-        f = rng.standard_normal(space.size)
-        l = rng.integers(1, space.l_max + 1)
-        restrict = space.exhaustion_set(l)
-        sf = condition_on_partition(f, part, space, restrict_to=restrict)
-        g = sf.expand()
-        masked = np.zeros_like(f)
-        masked[restrict] = f[restrict]
+    for l in np.unique(depth):
+        rows, mask = f[depth == l], space.exhaustion_mask(l)
+        step = condition_on_partition(rows, part, space, restrict_to=space.exhaustion_set(l))
+        g = step.expand()
+        masked = rows * mask
         contraction.append(space.norm(g) - space.norm(masked))
-        resid = masked - g
-        # <resid, 1_{cell & restrict}> for every cell at once.
-        cell_inner = part.cell_sums(resid * space.weights * space.exhaustion_mask(l))
-        ortho.append(np.abs(cell_inner).max())
-        again = condition_on_partition(g, part, space, restrict_to=restrict)
-        idem.append(np.abs(again.expand() - g).max())
+        # <masked - g, 1_{cell & X_l}> for every probe and cell at once.
+        ortho.append(np.abs(part.cell_sums((masked - g) * space.weights * mask)))
+        # Conditioning again on the restricted partition must change nothing.
+        idem.append(np.abs(condition_on_partition(g, step.partition, space).expand() - g))
     return [
         _result("conditioning-mass", mass_err, 1e-12),
-        _result("conditioning-contraction", contraction, 1e-12),
-        _result("conditioning-orthogonality", ortho, 1e-10),
-        _result("conditioning-idempotence", idem, 1e-12),
+        _result("conditioning-contraction", np.concatenate(contraction), 1e-12),
+        _result("conditioning-orthogonality", np.concatenate(ortho, axis=None), 1e-10),
+        _result("conditioning-idempotence", np.concatenate(idem, axis=None), 1e-12),
     ]
 
 
@@ -267,15 +262,17 @@ def audit_partition_refinement(parts: dict) -> AuditResult:
 def audit_projection_composition(
     model: SpectralModel, basis: OrthonormalBasis, rng: np.random.Generator
 ) -> AuditResult:
-    """Galerkin stage equals the bare stage of the projected input."""
+    """Galerkin stage equals the bare stage of the projected input.
+
+    One batch, checked at n in {0, 4, 8} and m in {1, 2, K/2, K} for K vectors.
+    """
+    f = rng.standard_normal((20, model.space.size))
     gaps = []
-    for _ in range(20):
-        f = rng.standard_normal(model.space.size)
-        n = int(rng.integers(0, 9))
-        m = int(rng.integers(1, basis.n_vectors + 1))
-        st = Stage(model, basis, StageIndex(n, m))
-        direct = semigroup_form(model, n, galerkin_projection(basis, m, f))
-        gaps.append(abs(st.form(f) - direct))
+    for m in sorted({1, 2, basis.n_vectors // 2, basis.n_vectors}):
+        stage = Stage(model, basis, StageIndex(0, m))
+        for n in (0, 4, 8):
+            direct = semigroup_form(model, n, galerkin_projection(basis, m, f))
+            gaps.append(np.abs(stage.at(n).form(f) - direct))
     return _result(f"projection-composition[{model.name}]", gaps, 1e-10)
 
 
@@ -333,25 +330,21 @@ def audit_unit_contraction(graphs_named, rng: np.random.Generator) -> AuditResul
     """Clipping to [0,1] and capping |f| never raise the graph energy."""
     excess = []
     for _, g in graphs_named:
-        for _ in range(100):
-            alpha = rng.standard_normal(g.n_vertices) * 2.0
-            base = graph_energy(g, alpha)
-            unit = graph_energy(g, np.clip(alpha, 0.0, 1.0))
-            cap = rng.uniform(0.2, 2.0)
-            capped = graph_energy(g, np.sign(alpha) * np.minimum(np.abs(alpha), cap))
-            excess.append((unit - base, capped - base))
+        alpha = rng.standard_normal((100, g.n_vertices)) * 2.0
+        cap = rng.uniform(0.2, 2.0, size=(100, 1))
+        base = graph_energy(g, alpha)
+        unit = graph_energy(g, np.clip(alpha, 0.0, 1.0))
+        capped = graph_energy(g, np.sign(alpha) * np.minimum(np.abs(alpha), cap))
+        excess += [unit - base, capped - base]
     return _result("unit-contraction", excess, 1e-10)
 
 
-def _random_lipschitz(rng: np.random.Generator):
-    """A random 1-Lipschitz map fixing 0: a recentered two-sided clip."""
-    lo = float(rng.uniform(-2.0, -0.1))
-    hi = float(rng.uniform(0.1, 2.0))
-
-    def g(x):
-        return np.clip(x, lo, hi)
-
-    return g
+def _random_lipschitz(rng: np.random.Generator, shape):
+    """Random 1-Lipschitz maps fixing 0, one per entry of ``shape``: recentered
+    two-sided clips, applied to values with one more trailing axis."""
+    lo = rng.uniform(-2.0, -0.1, size=shape)[..., None]
+    hi = rng.uniform(0.1, 2.0, size=shape)[..., None]
+    return lambda x: np.clip(x, lo, hi)
 
 
 def audit_normal_contraction(graphs_named, rng: np.random.Generator) -> AuditResult:
@@ -359,22 +352,20 @@ def audit_normal_contraction(graphs_named, rng: np.random.Generator) -> AuditRes
 
     F(x_1..x_j) = sum_i w_i g_i(x_i) with sum |w_i| <= 1 and each g_i a
     1-Lipschitz map fixing zero; then sqrt E(F(f_1..f_j)) is at most
-    sum_i sqrt E(f_i).
+    sum_i sqrt E(f_i).  Each of the 40 probes draws j in 1..3; its unused
+    variables carry zero weight and the zero function.
     """
     excess = []
     for _, g in graphs_named:
-        for _ in range(40):
-            j = int(rng.integers(1, 4))
-            weights = rng.standard_normal(j)
-            weights /= max(1.0, float(np.abs(weights).sum()))
-            maps = [_random_lipschitz(rng) for _ in range(j)]
-            fs = rng.standard_normal((j, g.n_vertices))
-            combined = np.zeros(g.n_vertices)
-            budget = 0.0
-            for w, gmap, f in zip(weights, maps, fs):
-                combined += w * gmap(f)
-                budget += np.sqrt(graph_energy(g, f))
-            excess.append(np.sqrt(graph_energy(g, combined)) - budget)
+        used = np.arange(3) < rng.integers(1, 4, size=(40, 1))
+        weights = rng.standard_normal((40, 3)) * used
+        weights /= np.maximum(1.0, np.abs(weights).sum(axis=1, keepdims=True))
+        gmap = _random_lipschitz(rng, (40, 3))
+        fs = rng.standard_normal((40, 3, g.n_vertices)) * used[..., None]
+        combined = (weights[..., None] * gmap(fs)).sum(axis=1)
+        # One energy call: the j inputs and their combination side by side.
+        roots = np.sqrt(graph_energy(g, np.concatenate([fs, combined[:, None]], axis=1)))
+        excess.append(roots[:, 3] - roots[:, :3].sum(axis=1))
     return _result("normal-contraction", excess, 1e-10)
 
 
@@ -382,8 +373,6 @@ def audit_extraction_tower(
     model: SpectralModel, basis: OrthonormalBasis, rng: np.random.Generator
 ) -> AuditResult:
     """Energies of coarse-measurable functions agree across finer extractions."""
-    from .graphs import final_stage_graph
-
     space = model.space
     coarse_ix = StageIndex(4, 4, space.l_max, 2)
     fine_ix = StageIndex(4, 4, space.l_max, 4)
@@ -488,6 +477,10 @@ def audit_form_generator_consistency(
 # ---------------------------------------------------------------------------
 # Suite assembly
 
+# The deepest Galerkin cut of the suite's stages and partitions, so the
+# fewest modes a model of the suite may have.
+AUDIT_MODES = 8
+
 
 def audit_suite(
     spectral_models,
@@ -511,14 +504,14 @@ def audit_suite(
     stage_indices = [
         StageIndex(2),
         StageIndex(4, 4),
-        StageIndex(6, 8, 2),
+        StageIndex(6, AUDIT_MODES, 2),
     ]
 
     for model in spectral_models:
         basis = basis_for(model)
         lmax = model.space.l_max
         full_indices = stage_indices + [
-            StageIndex(6, 8, min(2, lmax), 4),
+            StageIndex(6, AUDIT_MODES, min(2, lmax), 4),
             StageIndex(8, min(16, model.n_modes), lmax, 6),
         ]
         results.append(audit_semigroup_contraction(model, rng))
@@ -540,7 +533,8 @@ def audit_suite(
     lead = spectral_models[0]
     lead_basis = basis_for(lead)
     # One build per (m, k) serves the three partition audits.
-    parts = {(m, k): level_partition(lead_basis, m, k) for m in (1, 2, 4, 8) for k in range(1, 5)}
+    ms = (1, 2, AUDIT_MODES // 2, AUDIT_MODES)
+    parts = {(m, k): level_partition(lead_basis, m, k) for m in ms for k in range(1, 5)}
     results.append(audit_tail_mass(parts))
     results.append(audit_cell_oscillation(lead_basis, parts))
     results.append(audit_partition_refinement(parts))

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .audits import audit_suite
+from .audits import AUDIT_MODES, audit_suite
 from .config import (
     ExperimentConfig,
     config_from_dict,
@@ -55,7 +55,8 @@ EXIT_CONFIG_ERROR = 2
 CSV_HEADER = "n,m,l,k,lambda,test_vector,resolvent_error,form_value,exact_form,wall_ms"
 
 
-def _load(args) -> ExperimentConfig:
+def _load(args, audited: bool = True) -> ExperimentConfig:
+    """The config of a command; one that runs the audit battery needs its modes."""
     config = load_config(args.config) if args.config else default_config()
     overrides = {}
     if args.out is not None:
@@ -66,6 +67,8 @@ def _load(args) -> ExperimentConfig:
         data = config_to_dict(config)
         data.update(overrides)
         config = config_from_dict(data)
+    if audited and config.modes < AUDIT_MODES:
+        raise ConfigError(f"modes: {config.modes} is below the audit battery's minimum {AUDIT_MODES}")
     return config
 
 
@@ -258,7 +261,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_graph(args) -> int:
-    config = _load(args)
+    config = _load(args, audited=False)
     if args.index:
         try:
             parts = [int(p) for p in args.index.split(",")]

@@ -61,10 +61,6 @@ class ExperimentConfig:
                 f"= {RESOLUTION_FACTOR * self.modes}; the ambient grid must "
                 "over-resolve the spectral span"
             )
-        if self.grid_m and max(self.grid_m) > self.modes:
-            raise ConfigError(
-                f"grid.m: largest value {max(self.grid_m)} exceeds modes = {self.modes}"
-            )
 
     def sweep_grid(self) -> SweepGrid:
         return SweepGrid(n=self.grid_n, m=self.grid_m, l=self.grid_l, k=self.grid_k)

@@ -380,21 +380,21 @@ class CellPartition:
 
 @dataclass(frozen=True, eq=False)
 class StepFunction:
-    """One coefficient per cell of a partition."""
+    """One coefficient per cell of a partition; batched over leading axes."""
 
     partition: CellPartition
     coefficients: np.ndarray
 
     def __post_init__(self):
         coeffs = _frozen_array(self.coefficients)
-        if coeffs.shape != (self.partition.n_cells,):
+        if coeffs.shape[-1:] != (self.partition.n_cells,):
             raise DimensionMismatch(
-                f"{self.partition.n_cells} cells but {coeffs.size} coefficients"
+                f"{self.partition.n_cells} cells but coefficients of shape {coeffs.shape}"
             )
         object.__setattr__(self, "coefficients", coeffs)
 
     def expand(self) -> np.ndarray:
-        """Pointwise values on the full grid; zero off the support."""
+        """Pointwise values on the full grid; zero off the support; batched."""
         return self.partition.spread(self.coefficients)
 
 
@@ -411,11 +411,11 @@ def condition_on_partition(
     the restricted partition.  This is the weighted-L2 orthogonal
     projection onto the span of the (restricted) cell indicators; the
     expansion agrees with the conditional-average values except on
-    zero-weight sites, which carry no mass.
+    zero-weight sites, which carry no mass.  Batched over leading axes of f.
     """
     f = np.asarray(f, dtype=float)
-    if f.shape != (space.size,):
-        raise DimensionMismatch(f"expected shape ({space.size},), got {f.shape}")
+    if f.shape[-1:] != (space.size,):
+        raise DimensionMismatch(f"expected last axis {space.size}, got shape {f.shape}")
     part = partition
     if restrict_to is not None:
         part = partition.restrict(space, restrict_to)

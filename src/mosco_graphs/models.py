@@ -95,17 +95,21 @@ class SpectralModel:
             out = -np.expm1(-self.eigenvalues * t)
         return np.where(np.isfinite(self.eigenvalues), out, 1.0)
 
-    def apply_semigroup(self, t: float, f: np.ndarray) -> np.ndarray:
+    def apply_semigroup(self, t, f: np.ndarray) -> np.ndarray:
         """P_t f by coefficient damping; batched over leading axes.
 
-        The orthogonal complement of the span is annihilated, so t = 0
-        gives the span projection.
+        ``t`` is one time, or an array of times over the leading axes of
+        f, one per row.  The orthogonal complement of the span is
+        annihilated, so t = 0 gives the span projection.
         """
-        if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0):
+            raise ValueError(f"time must be nonnegative, got {t.min()}")
+        if t.ndim and t.shape != np.shape(f)[:-1]:
+            raise DimensionMismatch(f"times {t.shape} for functions {np.shape(f)}")
         c = self.basis.coefficients(f)
         with np.errstate(invalid="ignore"):
-            decay = np.exp(-self.eigenvalues * t)
+            decay = np.exp(np.multiply.outer(t, -self.eigenvalues))
         decay = np.where(np.isfinite(self.eigenvalues), decay, 0.0)
         return self.basis.synthesize(c * decay)
 

@@ -1,4 +1,6 @@
 """Audit families pass on sound input and fail on corrupted input."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from mosco_graphs import (
     audits,
     birth_death_kernel,
     birth_death_model,
+    builtin_models,
     graphs,
     level_partition,
     random_kernel_model,
@@ -70,6 +73,20 @@ class TestConditioningAudit:
         rng = np.random.default_rng(3)
         results = audits.audit_conditioning(neumann_small, neumann_small.basis, rng)
         assert not by_name(results, "conditioning-orthogonality").passed
+
+
+    def test_ignored_restriction_fails(self, neumann_small, monkeypatch):
+        # Averages over whole cells, not over their part inside X_l: the
+        # image keeps mass off X_l, which the masked probe lacks.
+        exact = audits.condition_on_partition
+        monkeypatch.setattr(
+            audits,
+            "condition_on_partition",
+            lambda f, partition, space, restrict_to=None: exact(f, partition, space),
+        )
+        rng = np.random.default_rng(3)
+        results = audits.audit_conditioning(neumann_small, neumann_small.basis, rng)
+        assert not by_name(results, "conditioning-contraction").passed
 
 
 def level_partitions(basis):
@@ -145,7 +162,7 @@ class TestExtractionTowerAudit:
         # Reverse the cell numbering of the fine graph's partition while
         # keeping its conductances: lifted coefficients land on the wrong
         # vertices and the energies disagree.
-        exact = graphs.final_stage_graph
+        exact = audits.final_stage_graph
 
         def misnumbered(model, basis, index, **kwargs):
             graph = exact(model, basis, index, **kwargs)
@@ -162,7 +179,7 @@ class TestExtractionTowerAudit:
                 partition=CellPartition(cell_of=cell_of, masses=part.masses[::-1]),
             )
 
-        monkeypatch.setattr(graphs, "final_stage_graph", misnumbered)
+        monkeypatch.setattr(audits, "final_stage_graph", misnumbered)
         rng = np.random.default_rng(5)
         assert not audits.audit_extraction_tower(
             neumann_small, neumann_small.basis, rng
@@ -220,7 +237,7 @@ class TestNormalContractionAudit:
 
     def test_expanding_map_fails(self, monkeypatch):
         # A 2-Lipschitz map in place of the 1-Lipschitz clips.
-        monkeypatch.setattr(audits, "_random_lipschitz", lambda rng: lambda x: 2.0 * x)
+        monkeypatch.setattr(audits, "_random_lipschitz", lambda rng, shape: lambda x: 2.0 * x)
         rng = np.random.default_rng(19)
         assert not audits.audit_normal_contraction([("pair", pair_graph(0.0))], rng).passed
 
@@ -240,12 +257,12 @@ class TestSemigroupLawAudit:
 
     def test_time_dependent_gain_fails(self, neumann_small, monkeypatch):
         # With P_t scaled by 1 + 1e-6 t^2, P_s P_t and P_{s+t} differ by
-        # about the cross term 2e-6 st.
+        # about the cross term 2e-6 st; t holds one time per row.
         exact = SpectralModel.apply_semigroup
         monkeypatch.setattr(
             SpectralModel,
             "apply_semigroup",
-            lambda self, t, f: (1 + 1e-6 * t**2) * exact(self, t, f),
+            lambda self, t, f: (1 + 1e-6 * np.asarray(t)[..., None] ** 2) * exact(self, t, f),
         )
         assert not audits.audit_semigroup_law(neumann_small, np.random.default_rng(31)).passed
 
@@ -302,12 +319,16 @@ def models(neumann_small):
     return {"neumann": neumann_small, "chain": birth_death_model(sites=16)}
 
 
-def run_family(family, model, rng):
-    """The audit lines of one batched family on ``model``."""
+def run_family(family, model, rng, graph=None):
+    """The audit lines of one batched family on ``model``, or on ``graph``."""
     audit = getattr(audits, f"audit_{family}")
     if family in STAGE_FAMILIES:
         stages = [Stage(model, model.basis, index) for index in STAGE_INDICES]
         out = audit(model, stages, rng)
+    elif family in ("conditioning", "projection_composition"):
+        out = audit(model, model.basis, rng)
+    elif family in ("unit_contraction", "normal_contraction"):
+        out = audit([("leaky", graph)], rng)
     else:
         out = audit(model, rng)
     return out if isinstance(out, list) else [out]
@@ -435,3 +456,173 @@ class TestProbeCounts:
             reference.standard_normal(kernel.size)
         (rng,) = made
         assert rng.bit_generator.state == reference.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# The families that drew one probe at a time until they took one batch each.
+
+
+@pytest.fixture(scope="module")
+def leaky_graph():
+    kernel = random_kernel_model(8, np.random.default_rng(13), name="leaky")
+    return graphs.extract_graph(kernel, CellPartition.singletons(kernel.space), kernel.space)
+
+
+def corrupt_results(monkeypatch, owner, name, change):
+    """Replace each result of ``owner.name`` by ``change(result, call)``, calls counted from 0."""
+    exact = getattr(owner, name)
+    calls = itertools.count()
+    monkeypatch.setattr(owner, name, lambda *a, **kw: change(exact(*a, **kw), next(calls)))
+
+
+def scale(factor, where=ROW, on=lambda call: True):
+    """A change that scales entry ``where`` of the results of the calls ``on`` picks."""
+
+    def change(out, call):
+        out = np.array(out)
+        if on(call):
+            out[where] *= factor
+        return out
+
+    return change
+
+
+def scale_step(factor):
+    """A change that scales row ROW of a step function's coefficients.
+
+    Each depth makes its own call, and some depth has more than ROW of the
+    20 probes, as there are at most four depths.
+    """
+
+    def change(step, call):
+        coefficients = np.array(step.coefficients)
+        if len(coefficients) > ROW:
+            coefficients[ROW] *= factor
+        return StepFunction(step.partition, coefficients)
+
+    return change
+
+
+# family, audit line, corrupted internal, change, the factor on one row that
+# fails the line: small for the identities, large for the inequalities,
+# whose healthy rows keep a margin.
+BATCH_CONTROLS = [
+    ("semigroup_law", "semigroup-law[neumann]", SpectralModel, "apply_semigroup",
+     scale, 1 + 1e-8),
+    ("conditioning", "conditioning-orthogonality", audits, "condition_on_partition",
+     scale_step, 1 + 1e-3),
+    ("projection_composition", "projection-composition[neumann]", audits,
+     "galerkin_projection", scale, 1 + 1e-6),
+    # Only the energies of the clipped and capped values grow, not of the
+    # values themselves, which each graph's first call takes.
+    ("unit_contraction", "unit-contraction", audits, "graph_energy",
+     lambda factor: scale(factor, on=lambda call: call % 3), 1e3),
+    # Column 3 holds the energy of the combination.
+    ("normal_contraction", "normal-contraction", audits, "graph_energy",
+     lambda factor: scale(factor, where=(ROW, 3)), 1e4),
+]
+
+
+class TestNewlyBatchedFamilies:
+    @pytest.mark.parametrize(
+        "family, line, owner, name, change, factor",
+        BATCH_CONTROLS,
+        ids=[c[0] for c in BATCH_CONTROLS],
+    )
+    def test_one_wrong_row_fails(
+        self, neumann_small, leaky_graph, monkeypatch, family, line, owner, name, change, factor
+    ):
+        def run():
+            results = run_family(family, neumann_small, np.random.default_rng(23), leaky_graph)
+            return by_name(results, line)
+
+        assert run().passed
+        corrupt_results(monkeypatch, owner, name, change(factor))
+        assert not run().passed
+
+    @pytest.mark.parametrize(
+        "family, line, owner, name, change, factor",
+        BATCH_CONTROLS,
+        ids=[c[0] for c in BATCH_CONTROLS],
+    )
+    def test_one_nan_row_fails(
+        self, neumann_small, leaky_graph, monkeypatch, family, line, owner, name, change, factor
+    ):
+        corrupt_results(monkeypatch, owner, name, change(np.nan))
+        results = run_family(family, neumann_small, np.random.default_rng(23), leaky_graph)
+        result = by_name(results, line)
+        assert not result.passed
+        assert np.isnan(result.residual)
+
+    def test_nan_probe_fails_conditioning(self, neumann_small, monkeypatch):
+        # A NaN site value of one probe: every line that reads the probe fails.
+        exact = audits.condition_on_partition
+
+        def poisoned(f, partition, space, restrict_to=None):
+            f = np.array(f)
+            f[-1, 0] = np.nan
+            return exact(f, partition, space, restrict_to=restrict_to)
+
+        monkeypatch.setattr(audits, "condition_on_partition", poisoned)
+        results = audits.audit_conditioning(
+            neumann_small, neumann_small.basis, np.random.default_rng(23)
+        )
+        for name in ("contraction", "orthogonality", "idempotence"):
+            assert np.isnan(by_name(results, f"conditioning-{name}").residual)
+
+
+def batch_draws(family, model, graph, rng):
+    """The draws of each newly batched family: one call per array."""
+    size, v = model.space.size, graph.n_vertices
+    if family == "semigroup_law":
+        rng.standard_normal((20, size))
+        rng.uniform(0.0, 1.0, size=(2, 20))
+    elif family == "conditioning":
+        rng.standard_normal((20, size))
+        rng.integers(1, model.space.l_max + 1, size=20)
+    elif family == "projection_composition":
+        rng.standard_normal((20, size))
+    elif family == "unit_contraction":
+        rng.standard_normal((100, v))
+        rng.uniform(0.2, 2.0, size=(100, 1))
+    else:
+        rng.integers(1, 4, size=(40, 1))
+        rng.standard_normal((40, 3))
+        rng.uniform(-2.0, -0.1, size=(40, 3))
+        rng.uniform(0.1, 2.0, size=(40, 3))
+        rng.standard_normal((40, 3, v))
+
+
+@pytest.mark.parametrize("family", [c[0] for c in BATCH_CONTROLS])
+def test_newly_batched_family_draws_one_batch_per_array(neumann_small, leaky_graph, family):
+    rng, reference = np.random.default_rng(29), np.random.default_rng(29)
+    run_family(family, neumann_small, rng, leaky_graph)
+    batch_draws(family, neumann_small, leaky_graph, reference)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_suite_makes_few_kernel_calls(monkeypatch):
+    # One battery on the suite's models: every family makes one call per
+    # model, graph, stage or depth, not one per probe.
+    counts = {"energy": 0, "stage": 0, "restrict": 0}
+
+    def counted(key, function):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    energy = counted("energy", graphs.graph_energy)
+    monkeypatch.setattr(audits, "graph_energy", energy)
+    monkeypatch.setattr(graphs, "graph_energy", energy)
+    monkeypatch.setattr(Stage, "__init__", counted("stage", Stage.__init__))
+    monkeypatch.setattr(CellPartition, "restrict", counted("restrict", CellPartition.restrict))
+    zoo = builtin_models(128, 16, seed=7)
+    spectral = [m for m in zoo if isinstance(m, SpectralModel)]
+    kernels = [m for m in zoo if isinstance(m, MarkovKernelModel)]
+    results = audits.audit_suite(spectral, kernels, lambda m: m.basis, np.random.default_rng(7))
+    assert all(r.passed for r in results)
+    assert counts["energy"] <= 12
+    assert counts["stage"] <= 27
+    assert counts["restrict"] <= 40

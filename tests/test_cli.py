@@ -78,7 +78,6 @@ class TestConfigValidation:
             ({"schema": 1, "lambdas": [1.0, -2.0]}, "positive"),
             ({"schema": 1, "graph_exports": [[4, 8, 4]]}, "quadruple"),
             ({"schema": 1, "test_vectors": {"spam": 1}}, "unknown field"),
-            ({"schema": 1, "modes": 4, "grid": {"n": [2], "m": [8]}}, "exceeds modes"),
             ({"schema": 1, "seed": True}, "integer"),
             ({"schema": 1, "grid": {"n": [2], "q": [1]}}, "unknown axis"),
             ({}, "missing required"),
@@ -348,6 +347,9 @@ class TestExportCommand:
             # not when the sweep first reaches the too-large m.
             ("run", {"model": str(table), "grid": {"n": [2], "m": [2, 8]}},
              "grid: n2_m8: m = 8 exceeds the 4-vector basis"),
+            # The loader leaves m against the basis to this check.
+            ("run", {"modes": 8, "grid": {"n": [2], "m": [16]}},
+             "grid: n2_m16: m = 16 exceeds the 8-vector basis"),
         ]
         path = tmp_path / "config.json"
         for command, fields, needle in cases:
@@ -357,6 +359,38 @@ class TestExportCommand:
             assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
             assert capsys.readouterr().err == f"config error: {needle}\n"
             assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("modes", [1, 4, 7])
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_audited_commands_need_the_battery_modes(self, tmp_path, capsys, command, modes):
+        # The audit battery cuts at m = 8; fewer modes are refused before
+        # any output exists.
+        data = minimal_dict(tmp_path / "out")
+        data.update(modes=modes, grid={"n": [2], "m": [1]})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            f"config error: modes: {modes} is below the audit battery's minimum 8\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_export_runs_no_audits_and_takes_few_modes(self, tmp_path):
+        data = minimal_dict(tmp_path / "out")
+        data.update(modes=4, grid={"n": [2], "m": [4]})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["export-graph", "--config", str(path), "--index", "4,4,4,2"]) == cli.EXIT_OK
+        assert (tmp_path / "out" / "graph_n4_m4_l4_k2.json").exists()
+
+    def test_verify_ignores_the_sweep_grid(self, tmp_path, capsys):
+        # verify runs no sweep, so a grid m beyond the basis does not stop it.
+        data = minimal_dict(tmp_path / "out")
+        data.update(modes=8, resolution=64, grid={"n": [2], "m": [16]})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["verify", "--config", str(path)]) == cli.EXIT_OK
+        assert capsys.readouterr().out.endswith("all 58 audits passed\n")
 
     def test_export_ignores_the_sweep_grid(self, run_artifacts, tmp_path):
         # export-graph runs no sweep, so a grid level past the exhaustion

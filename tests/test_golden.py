@@ -15,9 +15,10 @@ covers.  They were updated when cell averages went through
 modes and when ``AmbientSpace.coefficients`` became one flattened
 matmul, and the hashes of ``audits.json`` and both ``verify`` stdouts
 again when ``graph_energy`` took its Laplacian form, when the audit
-families drew their probes as one batch and when ``graph_energy`` took
-its conductance part on centred values, each time with that gate
-passing against its unchanged references.  A change that
+families drew their probes as one batch, when ``graph_energy`` took
+its conductance part on centred values and when the last five families
+that drew one probe at a time took one batch each, each time with that
+gate passing against its unchanged references.  A change that
 reorders floating-point arithmetic may update these four, and only
 these, in the same way.
 """
@@ -42,7 +43,7 @@ CONFIG = {
 RUN_SHA256 = {
     "convergence.csv": "bf1a5366816f6bf6e7b1b2335b90b365e1851fd12201f24b1b884b1b9c929e0d",
     "graph_n6_m8_l4_k3.json": "a467f35e03eebef8097ca8b08c598dd2024af1c744e34ff27ad1596d77787662",
-    "audits.json": "24e569dbb365cf635782470536833970ae826e2409c94b51cc052961219dacf5",
+    "audits.json": "5ab12c972dc4e6dc141fa87d0bb7b102de851d65bda4d487b6f3e508fc446e29",
 }
 
 EXPORT_SHA256 = {
@@ -67,8 +68,8 @@ def test_artifact_bytes_match_stored_hashes(tmp_path, command, expected):
 
 
 VERIFY_SHA256 = {
-    (): "ee9e2e1b04a3f239763dc7b90c5c0570d3d1a09bdb0b1785b3468e3a6c1e050c",
-    ("--inject-asymmetry",): "2c3fe80b1fe9299b395af423f0e66d32560780b7e285ada35701500064bc1f1f",
+    (): "86102cfb4a04a0274c9d126d94123dcf96fdc48d6718d65ecae007d23cf8123b",
+    ("--inject-asymmetry",): "4e184b7059f3a15c35092dda9172505c30af53e188b14f8fd1cdeb11de2173cf",
 }
 
 INJECTED_FAIL = (

@@ -427,6 +427,27 @@ class TestConditioning:
                 indicator = (sf.partition.cell_of == c).astype(float)
                 assert abs(space.inner(residual, indicator)) <= 1e-10
 
+    @pytest.mark.parametrize("restrict", [False, True], ids=["whole", "restricted"])
+    def test_stack_matches_each_row_alone(self, restrict):
+        space = uniform_interval_space(96)
+        part = CellPartition.from_cells(space, list(np.array_split(np.arange(96), 13)))
+        keep = space.exhaustion_set(3) if restrict else None
+        f = np.random.default_rng(31).standard_normal((2, 5, 96))
+        stack = condition_on_partition(f, part, space, restrict_to=keep)
+        assert stack.coefficients.shape == (2, 5, stack.partition.n_cells)
+        for i in np.ndindex(2, 5):
+            row = condition_on_partition(f[i], part, space, restrict_to=keep)
+            assert np.array_equal(stack.coefficients[i], row.coefficients)
+            assert np.array_equal(stack.expand()[i], row.expand())
+
+    def test_last_axis_is_checked(self):
+        space = uniform_interval_space(8)
+        part = CellPartition.from_cells(space, [np.arange(4)])
+        with pytest.raises(DimensionMismatch):
+            condition_on_partition(np.ones((3, 7)), part, space)
+        with pytest.raises(DimensionMismatch):
+            StepFunction(part, np.ones((3, 2)))
+
     def test_everything_restricted_away_raises(self):
         space = uniform_interval_space(8)
         part = CellPartition.from_cells(space, [np.arange(4)])

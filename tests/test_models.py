@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 from mosco_graphs import (
+    DimensionMismatch,
     MarkovKernelModel,
     OrthonormalBasis,
     SpectralModel,
@@ -74,6 +75,41 @@ class TestSemigroupAction:
         model = neumann_model(64, 4)
         with pytest.raises(ValueError):
             model.apply_semigroup(-1e-9, model.space.constant())
+
+    def test_time_array_acts_row_by_row(self):
+        # Not bit for bit: a batch and its rows alone go through products
+        # that round differently.
+        model = ring_model(512, 24)
+        rng = np.random.default_rng(9)
+        f = rng.standard_normal((3, 4, 512))
+        t = rng.uniform(0.0, 1.0, size=(3, 4))
+        t[1, 2] = 0.0
+        batch = model.apply_semigroup(t, f)
+        assert batch.shape == f.shape
+        for i in np.ndindex(t.shape):
+            row = model.apply_semigroup(t[i], f[i])
+            assert np.max(np.abs(batch[i] - row)) <= 1e-14 * model.space.norm(f[i])
+
+    def test_scalar_time_keeps_its_bits(self):
+        # A scalar time damps every row by exp(-lambda t) bit for bit; the
+        # graph exports rely on it.
+        model = neumann_model(256, 16)
+        f = np.random.default_rng(10).standard_normal((5, 256))
+        t = 2.0**-6
+        decay = np.where(np.isfinite(model.eigenvalues), np.exp(-model.eigenvalues * t), 0.0)
+        expected = model.basis.synthesize(model.basis.coefficients(f) * decay)
+        assert np.array_equal(model.apply_semigroup(t, f), expected)
+
+    def test_negative_time_in_an_array_is_refused(self):
+        model = neumann_model(64, 4)
+        t = np.array([0.5, 0.0, -1e-9, 1.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            model.apply_semigroup(t, np.ones((4, 64)))
+
+    def test_times_must_match_the_leading_axes(self):
+        model = neumann_model(64, 4)
+        with pytest.raises(DimensionMismatch):
+            model.apply_semigroup(np.array([0.1, 0.2]), np.ones((3, 64)))
 
     def test_contraction_and_semigroup_law(self):
         model = ring_model(512, 24)
