@@ -69,52 +69,3 @@ from .convergence import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AmbientSpace",
-    "CellPartition",
-    "ConfigError",
-    "ConvergenceRecord",
-    "DimensionMismatch",
-    "MarkovKernelModel",
-    "OrthonormalBasis",
-    "PartitionError",
-    "ResolventProbe",
-    "SolverError",
-    "SpectralModel",
-    "Stage",
-    "StageForm",
-    "StageIndex",
-    "StepFunction",
-    "SweepGrid",
-    "SymmetryError",
-    "TestVector",
-    "WeightedGraph",
-    "birth_death_kernel",
-    "birth_death_model",
-    "builtin_models",
-    "condition_on_partition",
-    "default_test_battery",
-    "eventually_nonincreasing",
-    "extract_graph",
-    "final_stage_graph",
-    "galerkin_projection",
-    "get_model",
-    "graph_energy",
-    "iterated_limit_sweep",
-    "level_partition",
-    "load_spectral_table",
-    "neumann_model",
-    "random_kernel_model",
-    "read_edge_list",
-    "read_graph_json",
-    "resolvent_error",
-    "ring_model",
-    "semigroup_form",
-    "stage_generator",
-    "stage_resolvent",
-    "uniform_interval_space",
-    "verify_identification",
-    "write_edge_list",
-    "write_graph_json",
-]

@@ -222,20 +222,15 @@ def cmd_run(args) -> int:
     config = _load(args)
     model = _build_model(config)
     basis = _build_basis(config, model)
-    _check_indices("grid", config.sweep_grid().indices(), model, basis)
+    grid = config.sweep_grid()
+    _check_indices("grid", grid.indices(), model, basis)
     _check_indices("graph_exports", config.graph_exports, model, basis)
     battery = _battery(config, model, basis)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     try:
-        records = iterated_limit_sweep(
-            model,
-            basis,
-            config.sweep_grid(),
-            battery,
-            lambdas=config.lambdas,
-        )
+        records = iterated_limit_sweep(model, basis, grid, battery, lambdas=config.lambdas)
     except (ValueError, SolverError) as exc:
         # Deep time levels can push a stage past its NSD or residual
         # guard; the sweep names the stage, and this is a usage error.

@@ -27,7 +27,7 @@ import scipy
 from .errors import SolverError
 from .measure import CellPartition, OrthonormalBasis
 from .models import SpectralModel
-from .pipeline import Stage, StageForm, StageIndex
+from .pipeline import Stage, StageForm, StageIndex, semigroup_form
 
 # Residual guard for the resolvent solves, relative to ||f||.
 RESIDUAL_TOL = 1e-9
@@ -91,22 +91,30 @@ def _check_residual(
         )
 
 
-def stage_resolvent(stage: StageForm, lam: float, f: np.ndarray) -> np.ndarray:
-    """(lambda - L_stage)^{-1} f with the vanishing-off-subspace rule.
+def _solve(stage: StageForm, lam: float, c: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Subspace coefficients u with (lambda - A) u = c, in one guarded solve.
 
-    Batched over leading axes of f: one SPD solve on the subspace takes
-    every vector as a right-hand side, and f_perp / lambda is added.
-    Guarded: the reconstructed residual must stay under RESIDUAL_TOL
-    relative to ||f|| for every vector.
+    ``c`` holds the coefficients of f on the stage subspace, one row per
+    vector: one SPD solve takes every row as a right-hand side, and the
+    residual must stay under RESIDUAL_TOL relative to ||f|| for each.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lambda must be finite and positive, got {lam}")
-    c, complement = stage.space.split(stage.subspace, f)
     matrix = lam * np.eye(stage.dim) - stage.matrix
     rhs = c.reshape(-1, stage.dim).T
     u = scipy.linalg.solve(matrix, rhs, assume_a="pos").T.reshape(c.shape)
     _check_residual(stage, lam, u, c, f)
-    return u @ stage.subspace + complement / lam
+    return u
+
+
+def stage_resolvent(stage: StageForm, lam: float, f: np.ndarray) -> np.ndarray:
+    """(lambda - L_stage)^{-1} f with the vanishing-off-subspace rule.
+
+    Batched over leading axes of f: the guarded solve acts on the
+    subspace coefficients, and f_perp / lambda is added.
+    """
+    c, complement = stage.space.split(stage.subspace, f)
+    return _solve(stage, lam, c, f) @ stage.subspace + complement / lam
 
 
 def resolvent_error(
@@ -174,33 +182,6 @@ class ConvergenceRecord:
     exact_form: float
 
 
-def _records_for_stage(
-    model: SpectralModel,
-    stage: Stage,
-    battery: Sequence[TestVector],
-    stack: np.ndarray,
-    exacts: np.ndarray,
-    exact_resolvents: Sequence[tuple[float, np.ndarray]],
-) -> list[ConvergenceRecord]:
-    forms = np.atleast_1d(stage.form(stack))
-    errors = []
-    for lam, exact in exact_resolvents:
-        approx = stage_resolvent(stage.form_data, lam, stack)
-        errors.append((lam, np.atleast_1d(model.space.norm(approx - exact))))
-    return [
-        ConvergenceRecord(
-            index=stage.index,
-            lam=float(lam),
-            vector_name=vec.name,
-            resolvent_error=float(per_vector[v]),
-            form_value=float(forms[v]),
-            exact_form=float(exacts[v]),
-        )
-        for lam, per_vector in errors
-        for v, vec in enumerate(battery)
-    ]
-
-
 def iterated_limit_sweep(
     model: SpectralModel,
     basis: OrthonormalBasis,
@@ -213,9 +194,10 @@ def iterated_limit_sweep(
     The model side does not depend on the stage, so the exact form and
     the exact resolvent of each lambda are computed once for the sweep.
     The stage projection does not depend on n, so it is built once per
-    (m, l, k) and every n of that group reuses it through ``Stage.at``.
-    A stage that fails a guard raises its error with the stage label in
-    front of the message.
+    (m, l, k), with the battery's split on its subspace and the forms of
+    every n of the group; each n then costs ``Stage.at`` and one guarded
+    solve per lambda.  A stage that fails a guard raises its error with
+    the stage label in front of the message.
     """
     _check_unique_names(battery)
     stack = np.stack([vec.values for vec in battery])
@@ -229,13 +211,25 @@ def iterated_limit_sweep(
     for positions in groups.values():
         # Dropping the previous group first keeps one projection alive.
         stage = None
-        for position in positions:
+        levels = np.array([indices[position].n for position in positions])
+        for row, position in enumerate(positions):
             ix = indices[position]
             try:
-                stage = Stage(model, basis, ix) if stage is None else stage.at(ix.n)
-                by_position[position] = _records_for_stage(
-                    model, stage, battery, stack, exacts, exact_resolvents
-                )
+                if stage is None:
+                    stage = Stage(model, basis, ix)
+                    c, complement = model.space.split(stage.subspace, stack)
+                    forms = semigroup_form(model, levels[:, None], stage.project(stack))
+                else:
+                    stage = stage.at(ix.n)
+                for lam, exact in exact_resolvents:
+                    u = _solve(stage.form_data, lam, c, stack)
+                    errors = model.space.norm(u @ stage.subspace + complement / lam - exact)
+                    by_position[position] += [
+                        ConvergenceRecord(
+                            ix, float(lam), vec.name, float(e), float(form), float(x)
+                        )
+                        for vec, e, form, x in zip(battery, errors, forms[row], exacts)
+                    ]
             except (ValueError, SolverError) as exc:
                 raise type(exc)(f"{ix.label()}: {exc}") from exc
     return [record for records in by_position for record in records]

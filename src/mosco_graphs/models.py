@@ -88,25 +88,28 @@ class SpectralModel:
     def n_modes(self) -> int:
         return self.eigenvalues.size
 
-    def decay(self, t: float) -> np.ndarray:
+    def decay(self, t) -> np.ndarray:
         """Per-mode 1 - exp(-lambda t), via expm1 so it stays accurate for
-        small t; 1 on infinite eigenvalues."""
+        small t; 1 on infinite eigenvalues.  One row of modes per time."""
         with np.errstate(invalid="ignore"):
-            out = -np.expm1(-self.eigenvalues * t)
+            out = -np.expm1(np.multiply.outer(t, -self.eigenvalues))
         return np.where(np.isfinite(self.eigenvalues), out, 1.0)
 
     def apply_semigroup(self, t, f: np.ndarray) -> np.ndarray:
         """P_t f by coefficient damping; batched over leading axes.
 
-        ``t`` is one time, or an array of times over the leading axes of
-        f, one per row.  The orthogonal complement of the span is
-        annihilated, so t = 0 gives the span projection.
+        ``t`` is one time, or an array of times that broadcasts against
+        the leading axes of f: one per row, or a (T, 1) grid that takes
+        every row at every time.  The orthogonal complement of the span
+        is annihilated, so t = 0 gives the span projection.
         """
         t = np.asarray(t, dtype=float)
         if np.any(t < 0):
             raise ValueError(f"time must be nonnegative, got {t.min()}")
-        if t.ndim and t.shape != np.shape(f)[:-1]:
-            raise DimensionMismatch(f"times {t.shape} for functions {np.shape(f)}")
+        try:
+            np.broadcast_shapes(t.shape, np.shape(f)[:-1])
+        except ValueError:
+            raise DimensionMismatch(f"times {t.shape} for functions {np.shape(f)}") from None
         c = self.basis.coefficients(f)
         with np.errstate(invalid="ignore"):
             decay = np.exp(np.multiply.outer(t, -self.eigenvalues))

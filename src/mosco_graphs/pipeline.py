@@ -119,16 +119,18 @@ class StageIndex:
 # the individual stage maps
 # ---------------------------------------------------------------------------
 
-def semigroup_form(model: SpectralModel, n: int, f: np.ndarray):
+def semigroup_form(model: SpectralModel, n, f: np.ndarray):
     """2^n <f - P_{2^-n} f, f>, computed mode by mode.
 
     Uses expm1 for the per-mode factors 1 - exp(-lambda 2^-n), so the
     value stays accurate when n is large and the difference f - P f is
     tiny.  Any component off the spectral span contributes its full
-    squared norm times 2^n.  Batched over leading axes of f.
+    squared norm times 2^n.  Batched over leading axes of f; ``n`` is one
+    level or an integer array that broadcasts against them, such as an
+    (L, 1) grid that splits f once for every level.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    if np.min(n) < 0:
+        raise ValueError(f"n must be >= 0, got {np.min(n)}")
     c, residual = model.space.split(model.basis.vectors, f)
     decay = model.decay(2.0 ** (-n))
     off_span = model.space.inner(residual, residual)

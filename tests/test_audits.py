@@ -334,66 +334,77 @@ def run_family(family, model, rng, graph=None):
     return out if isinstance(out, list) else [out]
 
 
-def corrupt_row(monkeypatch, owner, name, factor, level=None):
-    """Scale row ROW of each result of ``owner.name`` by ``factor``.
+def corrupt_row(monkeypatch, owner, name, factor, cell):
+    """Scale probe ROW in each result of ``owner.name`` by ``factor``.
 
-    With ``level``, only calls whose second argument (n or lambda) equals it.
+    ``cell`` indexes the result, or maps the call's arguments to that
+    index: ``ROW`` for a result with one row per probe.
     """
     exact = getattr(owner, name)
 
     def corrupted(*args):
         out = np.array(exact(*args))
-        if level is None or args[1] == level:
-            out[ROW] *= factor
+        out[cell(*args) if callable(cell) else cell] *= factor
         return out
 
     monkeypatch.setattr(owner, name, corrupted)
 
 
-# family, audit line, model, corrupted internal, factor on one row, level.
+# Probe ROW at every time of a (times, probes, sites) grid of images.
+ACROSS_TIMES = np.s_[:, ROW]
+
+
+def at_level(n):
+    """Probe ROW at level n of a (levels, probes) grid of stage forms."""
+    return lambda model, levels, f: (np.ravel(levels) == n, ROW)
+
+
+# family, audit line, model, corrupted internal, factor on one probe, cell.
 # Each factor is small enough that the mean residual stays under the
 # tolerance, so a mean in place of the maximum is caught too; only time
 # monotonicity cannot do that, as its healthy residuals are all 0.
 CONTROLS = [
     ("semigroup_contraction", "semigroup-contraction", "chain",
-     SpectralModel, "apply_semigroup", 1 + 1e-3, None),
-    ("markov_range", "markov-range", "neumann", SpectralModel, "apply_semigroup", 2.0, None),
-    ("time_monotonicity", "time-monotonicity", "neumann", audits, "semigroup_form", 0.99, 15),
+     SpectralModel, "apply_semigroup", 1 + 1e-3, ACROSS_TIMES),
+    ("markov_range", "markov-range", "neumann",
+     SpectralModel, "apply_semigroup", 2.0, ACROSS_TIMES),
+    ("time_monotonicity", "time-monotonicity", "neumann",
+     audits, "semigroup_form", 0.99, at_level(15)),
     ("energy_exhaustion", "energy-exhaustion-order", "neumann",
-     audits, "semigroup_form", 1 + 1e-6, 30),
+     audits, "semigroup_form", 1 + 1e-6, at_level(30)),
     ("energy_exhaustion", "energy-exhaustion-limit", "neumann",
-     SpectralModel, "exact_form", 1 + 1e-5, None),
-    ("stage_bounds", "stage-bounds", "neumann", Stage, "form", -1e-6, None),
+     SpectralModel, "exact_form", 1 + 1e-5, ROW),
+    ("stage_bounds", "stage-bounds", "neumann", Stage, "form", -1e-6, ROW),
     ("resolvent_contraction", "resolvent-contraction", "neumann",
-     audits, "stage_resolvent", 1 + 1e-3, None),
+     audits, "stage_resolvent", 1 + 1e-3, ROW),
     ("resolvent_identity", "resolvent-identity", "neumann",
-     audits, "stage_resolvent", 1 + 1e-8, None),
+     audits, "stage_resolvent", 1 + 1e-8, ROW),
     ("form_generator_consistency", "form-generator", "neumann",
-     StageForm, "quad_form", 1 + 1e-11, None),
+     StageForm, "quad_form", 1 + 1e-11, ROW),
 ]
 
 
 class TestBatchedFamilies:
     @pytest.mark.parametrize(
-        "family, line, model, owner, name, factor, level", CONTROLS, ids=[c[1] for c in CONTROLS]
+        "family, line, model, owner, name, factor, cell", CONTROLS, ids=[c[1] for c in CONTROLS]
     )
     def test_one_wrong_row_fails(
-        self, models, monkeypatch, family, line, model, owner, name, factor, level
+        self, models, monkeypatch, family, line, model, owner, name, factor, cell
     ):
         model = models[model]
         line = f"{line}[{model.name}]"
         assert by_name(run_family(family, model, np.random.default_rng(23)), line).passed
-        corrupt_row(monkeypatch, owner, name, factor, level)
+        corrupt_row(monkeypatch, owner, name, factor, cell)
         assert not by_name(run_family(family, model, np.random.default_rng(23)), line).passed
 
     @pytest.mark.parametrize(
-        "family, line, model, owner, name, factor, level", CONTROLS, ids=[c[1] for c in CONTROLS]
+        "family, line, model, owner, name, factor, cell", CONTROLS, ids=[c[1] for c in CONTROLS]
     )
     def test_one_nan_row_fails(
-        self, models, monkeypatch, family, line, model, owner, name, factor, level
+        self, models, monkeypatch, family, line, model, owner, name, factor, cell
     ):
         model = models[model]
-        corrupt_row(monkeypatch, owner, name, np.nan, level)
+        corrupt_row(monkeypatch, owner, name, np.nan, cell)
         results = run_family(family, model, np.random.default_rng(23))
         result = by_name(results, f"{line}[{model.name}]")
         assert not result.passed

@@ -505,9 +505,31 @@ def test_only_a_resolvent_solve_loads_scipy_linalg(tmp_path):
     assert json.loads(done.stdout.splitlines()[-1]) == [False, False, False, True]
 
 
-def test_star_import_resolves_every_public_name():
-    namespace = {}
-    exec("from mosco_graphs import *", namespace)
-    names = mosco_graphs.__all__
-    assert len(names) == len(set(names))
-    assert [name for name in names if name not in namespace] == []
+def test_run_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # One run per thread count, each in its own process, since BLAS reads
+    # its thread count once at load.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(GOLDEN_CONFIG))
+    src = str(Path(mosco_graphs.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        outs.append(tmp_path / f"threads{threads}")
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            OMP_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "mosco_graphs.cli", "run", "--config", str(config),
+             "--out", str(outs[-1])],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+    names = ["convergence.csv", "graph_n6_m8_l4_k3.json", "audits.json"]
+    assert sorted(p.name for p in outs[0].iterdir()) == sorted(names)
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -285,24 +285,27 @@ class TestSweep:
         assert got == expected
 
     def test_records_equal_resolvent_error_bit_for_bit(self, neumann_small):
-        # The sweep and resolvent_error share one batched stage_resolvent
-        # and one exact resolvent per lambda, and a projection reused at
-        # another n is the projection built there, so not a bit may differ.
+        # The sweep splits the battery and takes every n's forms once per
+        # projection, and resolvent_error goes through the same guarded
+        # solve, so not a bit may differ from a stage built at n or from a
+        # projection moved there with at(n), on either basis.
         model = neumann_small
-        battery = default_test_battery(model, model.basis, np.random.default_rng(7))
-        stack = np.stack([vec.values for vec in battery])
-        for grid, size in (
-            (SweepGrid(n=(2, 6, 12), m=(4, 16), l=(2, 4), k=(2, 8)), 720),
-            (SweepGrid(n=(0, 3, 9)), 90),
+        haar = OrthonormalBasis.haar(model.space, 16)
+        for basis, grid, size in (
+            (model.basis, SweepGrid(n=(2, 6, 12), m=(4, 16), l=(2, 4), k=(2, 8)), 720),
+            (model.basis, SweepGrid(n=(0, 3, 9)), 90),
+            (haar, SweepGrid(n=(1, 5, 10), m=(4, 16), l=(2, 4), k=(3,)), 360),
         ):
-            records = iterated_limit_sweep(
-                model, model.basis, grid, battery, lambdas=(1.0, 2.0)
-            )
+            battery = default_test_battery(model, basis, np.random.default_rng(7))
+            stack = np.stack([vec.values for vec in battery])
+            records = iterated_limit_sweep(model, basis, grid, battery, lambdas=(1.0, 2.0))
             assert len(records) == size
-            expected = {}
+            expected, first = {}, {}
             for ix in grid.indices():
-                stage = Stage(model, model.basis, ix)
+                stage = Stage(model, basis, ix)
                 forms = stage.form(stack)
+                moved = first.setdefault((ix.m, ix.l, ix.k), stage).at(ix.n)
+                assert np.array_equal(moved.form(stack), forms)
                 for lam in (1.0, 2.0):
                     errs = resolvent_error(model, stage.form_data, ResolventProbe(lam, battery))
                     for v, vec in enumerate(battery):

@@ -111,6 +111,26 @@ class TestSemigroupAction:
         with pytest.raises(DimensionMismatch):
             model.apply_semigroup(np.array([0.1, 0.2]), np.ones((3, 64)))
 
+    def test_time_grid_matches_the_per_time_calls(self):
+        # A (T, 1) grid takes every row at every time.
+        model = ring_model(512, 24)
+        f = np.random.default_rng(11).standard_normal((5, 512))
+        times = 2.0 ** -np.arange(13)
+        grid = model.apply_semigroup(times[:, None], f)
+        assert grid.shape == (13, 5, 512)
+        for t, images in zip(times, grid):
+            gap = np.abs(images - model.apply_semigroup(t, f)).max(axis=-1)
+            assert np.all(gap <= 1e-14 * model.space.norm(f))
+
+    def test_decay_gives_one_row_of_modes_per_time(self):
+        model = neumann_model(64, 8)
+        times = np.array([0.0, 2.0**-6, 1.0])
+        rows = model.decay(times)
+        assert rows.shape == (3, 8)
+        for t, row in zip(times, rows):
+            assert np.array_equal(row, model.decay(t))
+        assert np.array_equal(rows[1], -np.expm1(-model.eigenvalues * 2.0**-6))
+
     def test_contraction_and_semigroup_law(self):
         model = ring_model(512, 24)
         rng = np.random.default_rng(6)

@@ -17,6 +17,7 @@ from mosco_graphs import (
     galerkin_projection,
     level_partition,
     neumann_model,
+    ring_model,
     semigroup_form,
     stage_generator,
     uniform_interval_space,
@@ -109,6 +110,27 @@ class TestSemigroupForm:
         n = 7
         expected = 2.0**n * model.space.inner(f_perp, f_perp)
         assert semigroup_form(model, n, f_perp) == pytest.approx(expected, rel=1e-12)
+
+
+class TestLevelGrid:
+    @pytest.mark.parametrize(
+        "build", [lambda: neumann_model(128, 16), lambda: ring_model(128, 16),
+                  lambda: birth_death_model(sites=16)],
+        ids=["neumann", "ring", "birth_death"],
+    )
+    def test_level_grid_equals_the_per_level_calls_bit_for_bit(self, build):
+        model = build()
+        f = np.random.default_rng(25).standard_normal((6, model.space.size))
+        levels = np.arange(31)
+        grid = semigroup_form(model, levels[:, None], f)
+        assert grid.shape == (31, 6)
+        for n in levels:
+            assert np.array_equal(grid[n], semigroup_form(model, int(n), f))
+
+    def test_negative_level_in_an_array_is_refused(self):
+        model = neumann_model(64, 4)
+        with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+            semigroup_form(model, np.array([[0], [-1], [2]]), np.ones((2, 64)))
 
 
 class TestGalerkinProjection:
