@@ -28,13 +28,7 @@ import numpy as np
 
 from . import __version__
 from .audits import AUDIT_MODES, audit_suite
-from .config import (
-    ExperimentConfig,
-    config_from_dict,
-    config_to_dict,
-    default_config,
-    load_config,
-)
+from .config import ExperimentConfig, default_config, load_config
 from .convergence import MOSCO_PROXY_NOTE, default_test_battery, iterated_limit_sweep
 from .errors import ConfigError, SolverError
 from .graphs import final_stage_graph, write_edge_list, write_graph_json
@@ -58,18 +52,21 @@ CSV_HEADER = "n,m,l,k,lambda,test_vector,resolvent_error,form_value,exact_form,w
 def _load(args, audited: bool = True) -> ExperimentConfig:
     """The config of a command; one that runs the audit battery needs its modes."""
     config = load_config(args.config) if args.config else default_config()
-    overrides = {}
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        data = config_to_dict(config)
-        data.update(overrides)
-        config = config_from_dict(data)
+    overrides = {"out_dir": args.out, "seed": args.seed}
+    config = replace(config, **{k: v for k, v in overrides.items() if v is not None})
     if audited and config.modes < AUDIT_MODES:
         raise ConfigError(f"modes: {config.modes} is below the audit battery's minimum {AUDIT_MODES}")
     return config
+
+
+def _out_dir(config: ExperimentConfig) -> Path:
+    """The output directory, made if missing; refused if the path cannot be one."""
+    out = Path(config.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out_dir: cannot create directory {out}: {exc.strerror}") from None
+    return out
 
 
 def _build_model(config: ExperimentConfig) -> SpectralModel:
@@ -226,8 +223,7 @@ def cmd_run(args) -> int:
     _check_indices("grid", grid.indices(), model, basis)
     _check_indices("graph_exports", config.graph_exports, model, basis)
     battery = _battery(config, model, basis)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config)
 
     try:
         records = iterated_limit_sweep(model, basis, grid, battery, lambdas=config.lambdas)
@@ -271,8 +267,7 @@ def cmd_export_graph(args) -> int:
     model = _build_model(config)
     basis = _build_basis(config, model)
     _check_indices("graph_exports", config.graph_exports, model, basis)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(config)
     for path in _export_graphs(config, model, basis, out, edge_lists=True):
         print(f"wrote {path}")
     return EXIT_OK

@@ -61,6 +61,8 @@ class ExperimentConfig:
                 f"= {RESOLUTION_FACTOR * self.modes}; the ambient grid must "
                 "over-resolve the spectral span"
             )
+        if self.seed < 0:
+            raise ConfigError(f"seed: {self.seed} is below the minimum 0")
 
     def sweep_grid(self) -> SweepGrid:
         return SweepGrid(n=self.grid_n, m=self.grid_m, l=self.grid_l, k=self.grid_k)
@@ -224,18 +226,13 @@ def config_from_dict(data) -> ExperimentConfig:
         grid_k=grid_k,
         lambdas=_lambda_axis(data["lambdas"], "lambdas") if "lambdas" in data else base.lambdas,
         out_dir=_as_str(data.get("out_dir", base.out_dir), "out_dir"),
-        seed=_as_int(data.get("seed", base.seed), "seed", low=0),
+        seed=_as_int(data.get("seed", base.seed), "seed"),
     )
     if "test_vectors" in data:
         kwargs["test_vectors"] = _vector_spec(data["test_vectors"], "test_vectors")
     if "graph_exports" in data:
         kwargs["graph_exports"] = _export_axis(data["graph_exports"], "graph_exports")
-    try:
-        return ExperimentConfig(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ExperimentConfig(**kwargs)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -251,29 +248,3 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path} line {exc.lineno}: {exc.msg}") from exc
     return config_from_dict(data)
 
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    """The JSON shape of a config, suitable for writing back out."""
-    grid: dict = {"n": list(config.grid_n), "m": list(config.grid_m)}
-    if config.grid_l is not None:
-        grid["l"] = list(config.grid_l)
-    if config.grid_k is not None:
-        grid["k"] = list(config.grid_k)
-    return {
-        "schema": SCHEMA_VERSION,
-        "model": config.model,
-        "resolution": config.resolution,
-        "modes": config.modes,
-        "basis": config.basis,
-        "grid": grid,
-        "lambdas": list(config.lambdas),
-        "test_vectors": {
-            "basis": config.test_vectors.n_basis,
-            "span": config.test_vectors.n_span,
-            "step": config.test_vectors.n_step,
-            "constant": config.test_vectors.include_constant,
-        },
-        "graph_exports": [[ix.n, ix.m, ix.l, ix.k] for ix in config.graph_exports],
-        "out_dir": config.out_dir,
-        "seed": config.seed,
-    }

@@ -131,6 +131,10 @@ def semigroup_form(model: SpectralModel, n, f: np.ndarray):
     """
     if np.min(n) < 0:
         raise ValueError(f"n must be >= 0, got {np.min(n)}")
+    try:
+        np.broadcast_shapes(np.shape(n), np.shape(f)[:-1])
+    except ValueError:
+        raise DimensionMismatch(f"levels {np.shape(n)} for functions {np.shape(f)}") from None
     c, residual = model.space.split(model.basis.vectors, f)
     decay = model.decay(2.0 ** (-n))
     off_span = model.space.inner(residual, residual)

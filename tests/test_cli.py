@@ -21,9 +21,9 @@ from mosco_graphs import (
     read_graph_json,
 )
 from mosco_graphs.config import (
+    KNOWN_FIELDS,
     ExperimentConfig,
     config_from_dict,
-    config_to_dict,
     default_config,
     load_config,
 )
@@ -57,15 +57,12 @@ def run_artifacts(tmp_path_factory):
 
 
 class TestConfigValidation:
-    def test_round_trip_is_identity(self):
-        config = default_config()
-        assert config_from_dict(config_to_dict(config)) == config
-
     def test_readme_lists_the_default_config(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         section = readme[readme.index("All fields with their defaults") :]
-        block = re.search(r"```json\n(.*?)```", section, flags=re.S).group(1)
-        assert json.loads(block) == config_to_dict(default_config())
+        block = json.loads(re.search(r"```json\n(.*?)```", section, flags=re.S).group(1))
+        assert set(block) == KNOWN_FIELDS
+        assert config_from_dict(block) == default_config()
 
     def test_messages_name_the_field(self):
         cases = [
@@ -79,6 +76,7 @@ class TestConfigValidation:
             ({"schema": 1, "graph_exports": [[4, 8, 4]]}, "quadruple"),
             ({"schema": 1, "test_vectors": {"spam": 1}}, "unknown field"),
             ({"schema": 1, "seed": True}, "integer"),
+            ({"schema": 1, "seed": -3}, "seed: -3 is below the minimum 0"),
             ({"schema": 1, "grid": {"n": [2], "q": [1]}}, "unknown axis"),
             ({}, "missing required"),
         ]
@@ -182,6 +180,41 @@ class TestConfigValidation:
     def test_direct_construction_validates_too(self):
         with pytest.raises(ConfigError, match="over-resolve"):
             ExperimentConfig(resolution=16, modes=64)
+        with pytest.raises(ConfigError, match="seed: -1 is below the minimum 0"):
+            ExperimentConfig(seed=-1)
+
+    @pytest.mark.parametrize("command", ["run", "verify", "export-graph"])
+    def test_negative_seed_override_is_refused(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        args = [command, "--seed", "-1", "--out", str(out)]
+        assert cli.main(args) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "config error: seed: -1 is below the minimum 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "export-graph"])
+    @pytest.mark.parametrize("via", ["--out", "out_dir"])
+    @pytest.mark.parametrize(
+        "where, reason", [("file", "File exists"), ("under-file", "Not a directory")]
+    )
+    def test_output_path_that_cannot_be_a_directory_is_refused(
+        self, tmp_path, capsys, monkeypatch, command, via, where, reason
+    ):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "iterated_limit_sweep", no_sweep)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out = blocker if where == "file" else blocker / "out"
+        data = minimal_dict(out if via == "out_dir" else tmp_path / "unused")
+        data["graph_exports"] = [[2, 4, 2, 2]]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        args = [command, "--config", str(path)] + (["--out", str(out)] if via == "--out" else [])
+        assert cli.main(args) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err == f"config error: out_dir: cannot create directory {out}: {reason}\n"
+        assert blocker.read_text() == "not a directory\n"
 
     def test_bad_json_reports_the_line(self, tmp_path):
         path = tmp_path / "broken.json"

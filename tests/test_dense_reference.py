@@ -1,0 +1,164 @@
+"""Stage generators, resolvents and forms against a dense reference.
+
+The reference spells each stage out on the sites of a small model,
+with no code from the library: the interval grid, its exhaustion and
+the eigen basis are rebuilt here, the stage projection
+Pi = cond o mask o pi_m is an explicit sites x sites matrix, and
+I - P_t is assembled from the per-mode factors -expm1(-mu t) plus the
+projection onto the span complement, never as I minus a dense P_t,
+which cancels at deep n.  Only the haar rows are taken from the library,
+as input data.  The stage matrix is then
+
+    A_ij = -2^n <(I - P_t) Pi s_i, Pi s_j>
+
+and the resolvent a dense solve of lambda - A on the subspace plus
+f_perp / lambda off it.  Bounds are scaled by the operands, as in the
+deviation gate.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from mosco_graphs import OrthonormalBasis, Stage, StageIndex, neumann_model, stage_resolvent
+from mosco_graphs.convergence import RESIDUAL_TOL
+from mosco_graphs.errors import SolverError
+from mosco_graphs.pipeline import NSD_TOL
+
+MODELS = {(64, 8): neumann_model(64, 8), (128, 16): neumann_model(128, 16)}
+HAAR = {key: OrthonormalBasis.haar(model.space, key[1]) for key, model in MODELS.items()}
+
+# Per unit of operand scale: 2^n for the matrix (every image is a
+# contraction of a unit vector) and for the form, times ||f||^2 there;
+# (1 + 2^n / lambda) ||f|| / lambda for the resolvent, the first-order
+# move of (lambda - A)^-1 c under a rounding error of size 2^n in A.
+# The largest moves seen on both models and bases over n = 0, 3, ..., 39,
+# m, l, k and lambda (7,168 cases) were 3.0e-15, 1.5e-16 and 1.4e-16.
+MATRIX_TOL = 1e-13
+FORM_TOL = 1e-14
+RESOLVENT_TOL = 1e-14
+
+
+def _interval(size: int):
+    return (np.arange(size) + 0.5) / size, np.full(size, 1.0 / size)
+
+
+def _eigen(points: np.ndarray, modes: int):
+    k = np.arange(modes)
+    phi = np.cos(np.outer(k * math.pi, points))
+    phi[1:] *= math.sqrt(2.0)
+    return (k * math.pi) ** 2, phi
+
+
+def _conditioning(rows: np.ndarray, weights: np.ndarray, k: int, keep: np.ndarray):
+    """Weighted averaging over the joint level-set cells of ``rows`` inside ``keep``.
+
+    A value v lies in window j when j 2^-k < v <= (j + 1) 2^-k; every
+    value at or below -2^k shares one overflow window, as does every
+    value above 2^k.  Sites outside ``keep`` are sent to zero.
+    """
+    top = 4**k
+    windows = np.clip(np.ceil(rows * 2.0**k) - 1, -top - 1, top)
+    cells: dict[tuple, list[int]] = {}
+    for site in np.flatnonzero(keep):
+        cells.setdefault(tuple(windows[:, site]), []).append(site)
+    average = np.zeros((weights.size, weights.size))
+    for sites in cells.values():
+        average[np.ix_(sites, sites)] = weights[sites] / weights[sites].sum()
+    return average
+
+
+def _dense_stage(size: int, modes: int, rows: np.ndarray, index: StageIndex):
+    """The stage matrix A, the projection Pi and 2^n (I - P_t), all dense."""
+    n, m, l, k = index.n, index.m, index.l, index.k
+    points, weights = _interval(size)
+    mu, phi = _eigen(points, modes)
+    keep = np.arange(size) < math.ceil(size * l / 4)
+    galerkin = rows[:m].T @ rows[:m] * weights
+    project = _conditioning(rows[:m], weights, k, keep) @ (keep[:, None] * galerkin)
+    on_span = (phi.T * -np.expm1(-mu * 2.0**-n)) @ phi * weights
+    off_span = np.eye(size) - phi.T @ phi * weights
+    energy = 2.0**n * (on_span + off_span)
+    images = project @ rows[:m].T
+    return -(images.T * weights) @ energy @ images, project, energy
+
+
+def _refused_by_a_blind_guard(index: StageIndex, lam: float, exc: Exception) -> bool:
+    """Whether ``exc`` is a guard firing past the depth its absolute tolerance can see.
+
+    Both guards are absolute, while rounding grows like 2^n: at the
+    matrix bound above, 2^n MATRIX_TOL passes NSD_TOL from n = 14 on, and
+    the residual bound 2^n / lambda RESOLVENT_TOL passes RESIDUAL_TOL a
+    little deeper.  A refusal shallower than that is a wrong number.
+    """
+    if isinstance(exc, SolverError):
+        return 2.0**index.n / lam * RESOLVENT_TOL > RESIDUAL_TOL
+    return "positive eigenvalue" in str(exc) and 2.0**index.n * MATRIX_TOL > NSD_TOL
+
+
+@st.composite
+def stage_cases(draw):
+    size, modes = draw(st.sampled_from(sorted(MODELS)))
+    basis = draw(st.sampled_from(["eigen", "haar"]))
+    index = StageIndex(
+        draw(st.integers(0, 40)),
+        draw(st.integers(1, modes)),
+        draw(st.integers(1, 4)),
+        draw(st.integers(0, 8)),
+    )
+    lam = draw(st.sampled_from([0.25, 1.0, 4.0]))
+    return (size, modes), basis, index, lam, draw(st.integers(0, 2**32 - 1))
+
+
+class TestDenseReference:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(case=stage_cases())
+    @example(case=((128, 16), "haar", StageIndex(40, 16, 4, 8), 0.25, 0))
+    @example(case=((64, 8), "eigen", StageIndex(40, 8, 4, 3), 1.0, 1))
+    @example(case=((128, 16), "eigen", StageIndex(0, 16, 1, 0), 4.0, 2))
+    def test_stage_matches_the_dense_reference(self, case):
+        key, basis_name, index, lam, seed = case
+        size, modes = key
+        model = MODELS[key]
+        basis = model.basis if basis_name == "eigen" else HAAR[key]
+        points, weights = _interval(size)
+        rows = _eigen(points, modes)[1] if basis_name == "eigen" else HAAR[key].vectors
+        matrix, project, energy = _dense_stage(size, modes, rows, index)
+        f = np.random.default_rng(seed).standard_normal((3, size))
+        f_norm = np.sqrt((f * f * weights).sum(axis=1))
+
+        try:
+            stage = Stage(model, basis, index)
+        except ValueError as exc:
+            assert _refused_by_a_blind_guard(index, lam, exc), exc
+            return
+        scale = 2.0**index.n
+        assert np.max(np.abs(stage.form_data.matrix - matrix)) <= MATRIX_TOL * scale
+
+        g = f @ project.T
+        form = ((g @ energy.T) * g * weights).sum(axis=1)
+        assert np.all(np.abs(stage.form(f) - form) <= FORM_TOL * scale * f_norm**2)
+
+        try:
+            got = stage_resolvent(stage.form_data, lam, f)
+        except SolverError as exc:
+            assert _refused_by_a_blind_guard(index, lam, exc), exc
+            return
+        c = (f * weights) @ rows[: index.m].T
+        u = np.linalg.solve(lam * np.eye(index.m) - matrix, c.T).T
+        want = u @ rows[: index.m] + (f - c @ rows[: index.m]) / lam
+        moved = np.sqrt(((got - want) ** 2 * weights).sum(axis=1))
+        assert np.all(moved <= RESOLVENT_TOL * (1 + scale / lam) * f_norm / lam)
+
+
+@pytest.mark.parametrize("key", sorted(MODELS))
+def test_reference_eigen_basis_is_the_models(key):
+    # The level-set cells are cut on the basis values, so the reference
+    # must see the very same bits as the library, or a site sitting on a
+    # window edge could change cell.
+    points, _ = _interval(key[0])
+    mu, phi = _eigen(points, key[1])
+    assert np.array_equal(phi, MODELS[key].basis.vectors)
+    assert np.array_equal(mu, MODELS[key].eigenvalues)

@@ -132,6 +132,11 @@ class TestLevelGrid:
         with pytest.raises(ValueError, match="n must be >= 0, got -1"):
             semigroup_form(model, np.array([[0], [-1], [2]]), np.ones((2, 64)))
 
+    def test_levels_that_do_not_broadcast_are_a_dimension_mismatch(self):
+        model = neumann_model(64, 4)
+        with pytest.raises(DimensionMismatch, match=r"levels \(3,\) for functions \(2, 64\)"):
+            semigroup_form(model, np.array([1, 2, 3]), np.ones((2, 64)))
+
 
 class TestGalerkinProjection:
     def test_keeps_early_modes_drops_late_ones(self):
