@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -59,14 +60,38 @@ def _load(args, audited: bool = True) -> ExperimentConfig:
     return config
 
 
-def _out_dir(config: ExperimentConfig) -> Path:
-    """The output directory, made if missing; refused if the path cannot be one."""
+def _out_dir(config: ExperimentConfig, names) -> Path:
+    """The output directory, made if missing; refused if the path cannot be
+    one, or if one of the artifact ``names`` in it exists and is not a file."""
     out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"out_dir: cannot create directory {out}: {exc.strerror}") from None
+    for name in names:
+        if (out / name).exists() and not (out / name).is_file():
+            raise ConfigError(f"out_dir: {out / name} exists and is not a regular file")
     return out
+
+
+def _write(write, *paths: Path) -> None:
+    """Call ``write`` with a temporary path beside each of ``paths``, then
+    move each into place, so no artifact is ever left half written.
+
+    An OSError is a ConfigError naming the artifacts; the temporaries go.
+    """
+    temps = [path.with_name(f".{path.name}.tmp") for path in paths]
+    try:
+        write(*temps)
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except OSError as exc:
+        names = ", ".join(map(str, paths))
+        raise ConfigError(f"out_dir: cannot write {names}: {exc.strerror}") from None
+    finally:
+        for temp in temps:
+            if temp.is_file():
+                temp.unlink()
 
 
 def _build_model(config: ExperimentConfig) -> SpectralModel:
@@ -147,7 +172,13 @@ def _csv_rows(records) -> list[str]:
 
 def _write_csv(records, path: Path) -> None:
     lines = [CSV_HEADER] + _csv_rows(records)
-    path.write_text("\n".join(lines) + "\n")
+    _write(lambda temp: temp.write_text("\n".join(lines) + "\n"), path)
+
+
+def _graph_names(ix: StageIndex, edge_lists: bool) -> list[str]:
+    """The files of one graph export: the JSON, then the edge-list pair."""
+    suffixes = (".json", ".edges.txt", ".vertices.txt") if edge_lists else (".json",)
+    return [f"graph_{ix.label()}{suffix}" for suffix in suffixes]
 
 
 def _export_graphs(config: ExperimentConfig, model, basis, out: Path, edge_lists: bool):
@@ -159,14 +190,13 @@ def _export_graphs(config: ExperimentConfig, model, basis, out: Path, edge_lists
             # Deep time indices can push the truncated kernel past the
             # positivity clamp; surface that as a usage error, not a crash.
             raise ConfigError(f"graph_exports: {ix.label()}: {exc}") from None
-        json_path = out / f"graph_{ix.label()}.json"
-        write_graph_json(graph, json_path)
-        written.append(json_path)
-        if edge_lists:
-            edges = out / f"graph_{ix.label()}.edges.txt"
-            vertices = out / f"graph_{ix.label()}.vertices.txt"
-            write_edge_list(graph, edges, vertices)
-            written.extend([edges, vertices])
+        json_path, *pair = [out / name for name in _graph_names(ix, edge_lists)]
+        # The writers are called positionally with the temporary paths,
+        # which hold the files when they return.
+        _write(lambda temp: write_graph_json(graph, temp), json_path)
+        if pair:
+            _write(lambda edges, vertices: write_edge_list(graph, edges, vertices), *pair)
+        written += [json_path, *pair]
     return written
 
 
@@ -223,7 +253,8 @@ def cmd_run(args) -> int:
     _check_indices("grid", grid.indices(), model, basis)
     _check_indices("graph_exports", config.graph_exports, model, basis)
     battery = _battery(config, model, basis)
-    out = _out_dir(config)
+    graphs = [name for ix in config.graph_exports for name in _graph_names(ix, False)]
+    out = _out_dir(config, ["convergence.csv", *graphs, "audits.json"])
 
     try:
         records = iterated_limit_sweep(model, basis, grid, battery, lambdas=config.lambdas)
@@ -240,7 +271,7 @@ def cmd_run(args) -> int:
 
     results = _run_audits(config)
     audits_path = out / "audits.json"
-    audits_path.write_text(_audits_json(results))
+    _write(lambda temp: temp.write_text(_audits_json(results)), audits_path)
     print(f"wrote {audits_path}")
     return _report(results, [r for r in results if not r.passed])
 
@@ -267,7 +298,7 @@ def cmd_export_graph(args) -> int:
     model = _build_model(config)
     basis = _build_basis(config, model)
     _check_indices("graph_exports", config.graph_exports, model, basis)
-    out = _out_dir(config)
+    out = _out_dir(config, [name for ix in config.graph_exports for name in _graph_names(ix, True)])
     for path in _export_graphs(config, model, basis, out, edge_lists=True):
         print(f"wrote {path}")
     return EXIT_OK

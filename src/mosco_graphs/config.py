@@ -1,9 +1,9 @@
 """Experiment configuration: schema, defaults, validation.
 
-Configs are plain JSON with a versioned ``schema`` field.  Validation is
-deliberately hand-rolled: every complaint names the offending field by
-its path (``grid.m[2]``) and says what was expected, because a sweep
-that dies half an hour in with a bare KeyError helps nobody.
+Configs are plain JSON with a versioned ``schema`` field.  The loader only
+checks JSON shapes and types; each value rule lives on the type that owns
+it, so a config built in code obeys the same rules as one read from a file.
+Every complaint names the offending field by its path (``lambdas[2]``).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .convergence import SweepGrid
 from .errors import ConfigError
-from .pipeline import K_MAX, N_MAX, StageIndex
+from .pipeline import StageIndex
 
 SCHEMA_VERSION = 1
 
@@ -34,6 +34,11 @@ class TestVectorSpec:
     n_span: int = 4
     n_step: int = 2
     include_constant: bool = True
+
+    def __post_init__(self):
+        for key, count in (("basis", self.n_basis), ("span", self.n_span), ("step", self.n_step)):
+            if count < 0:
+                raise ConfigError(f"test_vectors.{key}: {count} is below the minimum 0")
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.basis not in BASIS_CHOICES:
             raise ConfigError(f"basis: got {self.basis!r}, expected one of {BASIS_CHOICES}")
+        if self.modes < 1:
+            raise ConfigError(f"modes: {self.modes} is below the minimum 1")
         if self.resolution < RESOLUTION_FACTOR * self.modes:
             raise ConfigError(
                 f"resolution: {self.resolution} is below {RESOLUTION_FACTOR} x modes "
@@ -63,6 +70,25 @@ class ExperimentConfig:
             )
         if self.seed < 0:
             raise ConfigError(f"seed: {self.seed} is below the minimum 0")
+        try:
+            self.sweep_grid()
+        except ValueError as exc:
+            raise ConfigError(f"grid: {exc}") from None
+        if not self.lambdas:
+            raise ConfigError("lambdas: expected at least one resolvent parameter")
+        for i, lam in enumerate(self.lambdas):
+            # json reads NaN and Infinity; NaN fails every comparison.
+            if not abs(lam) <= sys.float_info.max:
+                raise ConfigError(f"lambdas[{i}]: resolvent parameter must be a finite float")
+            if lam <= 0:
+                raise ConfigError(f"lambdas[{i}]: resolvent parameter must be positive")
+            if lam in self.lambdas[:i]:
+                raise ConfigError(f"lambdas[{i}]: {lam!r} repeats an earlier resolvent parameter")
+        for i, ix in enumerate(self.graph_exports):
+            if not isinstance(ix, StageIndex) or ix.k is None:
+                raise ConfigError(f"graph_exports[{i}]: {ix} is not a full (n, m, l, k) index")
+            if ix in self.graph_exports[:i]:
+                raise ConfigError(f"graph_exports[{i}]: {ix.label()} repeats an earlier export")
 
     def sweep_grid(self) -> SweepGrid:
         return SweepGrid(n=self.grid_n, m=self.grid_m, l=self.grid_l, k=self.grid_k)
@@ -73,8 +99,8 @@ def default_config() -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Validation helpers.  Each takes the parent mapping, a key, and the
-# dotted path used in complaints.
+# Parsing helpers: JSON shapes and types only.  Each takes the dotted path
+# used in complaints.
 
 
 def _get(data: dict, key: str, path: str):
@@ -83,13 +109,9 @@ def _get(data: dict, key: str, path: str):
     return data[key]
 
 
-def _as_int(value, path: str, low: int | None = None, high: int | None = None) -> int:
+def _as_int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if low is not None and value < low:
-        raise ConfigError(f"{path}: {value} is below the minimum {low}")
-    if high is not None and value > high:
-        raise ConfigError(f"{path}: {value} is above the maximum {high}")
     return value
 
 
@@ -105,50 +127,28 @@ def _as_str(value, path: str) -> str:
     return value
 
 
-def _int_axis(value, path: str, low: int, high: int | None = None) -> tuple:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a nonempty list of integers")
-    out = []
-    for i, item in enumerate(value):
-        out.append(_as_int(item, f"{path}[{i}]", low=low, high=high))
-    for i in range(1, len(out)):
-        if out[i] <= out[i - 1]:
-            raise ConfigError(f"{path}: values must be strictly increasing")
-    return tuple(out)
+def _list(value, path: str, what: str) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list of {what}")
+    return tuple(value)
 
 
 def _lambda_axis(value, path: str) -> tuple:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a nonempty list of positive numbers")
-    out = []
-    for i, item in enumerate(value):
+    out = _list(value, path, "positive numbers")
+    for i, item in enumerate(out):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise ConfigError(f"{path}[{i}]: expected a number, got {item!r}")
-        # json reads NaN and Infinity; NaN fails every comparison.
-        if not abs(item) <= sys.float_info.max:
-            raise ConfigError(f"{path}[{i}]: resolvent parameter must be a finite float")
-        if item <= 0:
-            raise ConfigError(f"{path}[{i}]: resolvent parameter must be positive")
-        if float(item) in out:
-            raise ConfigError(f"{path}[{i}]: {item!r} repeats an earlier resolvent parameter")
-        out.append(float(item))
-    return tuple(out)
+    return out
 
 
 def _export_axis(value, path: str) -> tuple:
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected a list of [n, m, l, k] quadruples")
     out = []
-    for i, item in enumerate(value):
+    for i, item in enumerate(_list(value, path, "[n, m, l, k] quadruples")):
         here = f"{path}[{i}]"
         if not isinstance(item, list) or len(item) != 4:
             raise ConfigError(f"{here}: expected a quadruple [n, m, l, k]")
-        n = _as_int(item[0], f"{here}[0]", low=0, high=N_MAX)
-        m = _as_int(item[1], f"{here}[1]", low=1)
-        l = _as_int(item[2], f"{here}[2]", low=1)
-        k = _as_int(item[3], f"{here}[3]", low=0, high=K_MAX)
         try:
-            out.append(StageIndex(n, m, l, k))
+            out.append(StageIndex(*item))
         except ValueError as exc:
             raise ConfigError(f"{here}: {exc}") from exc
     return tuple(out)
@@ -157,19 +157,14 @@ def _export_axis(value, path: str) -> tuple:
 def _vector_spec(value, path: str) -> TestVectorSpec:
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected an object")
-    known = {"basis", "span", "step", "constant"}
+    fields = dict(basis="n_basis", span="n_span", step="n_step", constant="include_constant")
     for key in value:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}: unknown field (known: {sorted(known)})")
-    default = TestVectorSpec()
-    return TestVectorSpec(
-        n_basis=_as_int(value.get("basis", default.n_basis), f"{path}.basis", low=0),
-        n_span=_as_int(value.get("span", default.n_span), f"{path}.span", low=0),
-        n_step=_as_int(value.get("step", default.n_step), f"{path}.step", low=0),
-        include_constant=_as_bool(
-            value.get("constant", default.include_constant), f"{path}.constant"
-        ),
-    )
+        if key not in fields:
+            raise ConfigError(f"{path}.{key}: unknown field (known: {sorted(fields)})")
+    return TestVectorSpec(**{
+        fields[key]: (_as_bool if key == "constant" else _as_int)(item, f"{path}.{key}")
+        for key, item in value.items()
+    })
 
 
 KNOWN_FIELDS = {
@@ -188,7 +183,7 @@ KNOWN_FIELDS = {
 
 
 def config_from_dict(data) -> ExperimentConfig:
-    """Validate a parsed JSON object into an ExperimentConfig."""
+    """Parse a JSON object into an ExperimentConfig, which checks the values."""
     if not isinstance(data, dict):
         raise ConfigError("top level: expected a JSON object")
     for key in data:
@@ -198,40 +193,24 @@ def config_from_dict(data) -> ExperimentConfig:
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"schema: version {schema} unsupported (this build reads {SCHEMA_VERSION})")
 
-    base = default_config()
-    grid = data.get("grid", None)
-    grid_n, grid_m = base.grid_n, base.grid_m
-    grid_l, grid_k = base.grid_l, base.grid_k
-    if grid is not None:
+    kwargs = {}
+    if "grid" in data:
+        grid = data["grid"]
         if not isinstance(grid, dict):
             raise ConfigError("grid: expected an object with axes n, m, l, k")
         for key in grid:
             if key not in ("n", "m", "l", "k"):
                 raise ConfigError(f"grid.{key}: unknown axis (known: n, m, l, k)")
-        grid_n = _int_axis(_get(grid, "n", "grid.n"), "grid.n", low=0, high=N_MAX)
-        grid_m = _int_axis(_get(grid, "m", "grid.m"), "grid.m", low=1)
-        grid_l = _int_axis(grid["l"], "grid.l", low=1) if "l" in grid else None
-        grid_k = _int_axis(grid["k"], "grid.k", low=0, high=K_MAX) if "k" in grid else None
-        if grid_k is not None and grid_l is None:
-            raise ConfigError("grid.k: partition levels need grid.l alongside them")
-
-    kwargs = dict(
-        model=_as_str(data.get("model", base.model), "model"),
-        resolution=_as_int(data.get("resolution", base.resolution), "resolution", low=4),
-        modes=_as_int(data.get("modes", base.modes), "modes", low=1),
-        basis=_as_str(data.get("basis", base.basis), "basis"),
-        grid_n=grid_n,
-        grid_m=grid_m,
-        grid_l=grid_l,
-        grid_k=grid_k,
-        lambdas=_lambda_axis(data["lambdas"], "lambdas") if "lambdas" in data else base.lambdas,
-        out_dir=_as_str(data.get("out_dir", base.out_dir), "out_dir"),
-        seed=_as_int(data.get("seed", base.seed), "seed"),
-    )
-    if "test_vectors" in data:
-        kwargs["test_vectors"] = _vector_spec(data["test_vectors"], "test_vectors")
-    if "graph_exports" in data:
-        kwargs["graph_exports"] = _export_axis(data["graph_exports"], "graph_exports")
+        _get(grid, "n", "grid.n")
+        for key in ("n", "m", "l", "k"):
+            axis = _list(grid[key], f"grid.{key}", "integers") if key in grid else None
+            kwargs[f"grid_{key}"] = axis
+    parsers = {
+        "model": _as_str, "resolution": _as_int, "modes": _as_int, "basis": _as_str,
+        "lambdas": _lambda_axis, "test_vectors": _vector_spec, "graph_exports": _export_axis,
+        "out_dir": _as_str, "seed": _as_int,
+    }
+    kwargs.update((key, parse(data[key], key)) for key, parse in parsers.items() if key in data)
     return ExperimentConfig(**kwargs)
 
 

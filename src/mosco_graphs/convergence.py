@@ -132,14 +132,16 @@ def resolvent_error(
 # ---------------------------------------------------------------------------
 
 def _grid_axis(name: str, values) -> tuple[int, ...]:
-    """The values of one grid axis as ints, refusing non-integers and
-    booleans, and values that repeat or decrease."""
+    """The values of one grid axis as ints, refusing an empty axis,
+    non-integers and booleans, and values that repeat or decrease."""
     values = tuple(values)
+    if not values:
+        raise ValueError(f"{name} needs at least one value")
     for v in values:
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-            raise ValueError(f"grid {name}: values must be integers, got {v!r}")
+            raise ValueError(f"{name} values must be integers, got {v!r}")
     if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError(f"grid {name}: values must be strictly increasing, got {values}")
+        raise ValueError(f"{name} values must be strictly increasing, got {values}")
     return tuple(int(v) for v in values)
 
 
@@ -158,12 +160,11 @@ class SweepGrid:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, _grid_axis(name, value))
-        if not self.n:
-            raise ValueError("grid needs at least one n")
-        if self.l is not None and self.m is None:
-            raise ValueError("an l-grid needs an m-grid")
-        if self.k is not None and self.l is None:
-            raise ValueError("a k-grid needs an l-grid")
+        # The axes increase strictly, so the first and last points bound
+        # every value: StageIndex states the ranges and which axes need which.
+        axes = (self.n, self.m, self.l, self.k)
+        for end in (0, -1):
+            StageIndex(*(None if axis is None else axis[end] for axis in axes))
 
     def indices(self) -> list[StageIndex]:
         axes = [axis for axis in (self.n, self.m, self.l, self.k) if axis is not None]

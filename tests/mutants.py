@@ -1,0 +1,319 @@
+"""Source mutants the test suite must kill.
+
+Run by hand from the repository root (pytest does not collect this file):
+
+    python3 tests/mutants.py              # every entry, one after another
+    python3 tests/mutants.py NAME [...]   # the named entries only
+    python3 tests/mutants.py --list       # the table, without running it
+
+Each entry names a file, a snippet that must occur in it exactly once,
+its replacement, and why the mutant must die.  A snippet that is missing
+or repeated stops the run, so a refactor that moves the code fails
+loudly instead of skipping the entry.  Each mutant is applied to a fresh
+temporary copy of ``src/``, ``tests/``, ``pyproject.toml`` and the README
+(a test reads its config block), where the suite runs with ``-x``; one
+pytest process runs at a time.  The unmutated
+copy runs first and must pass.
+
+Equivalent mutants, which no test can kill, are listed apart with the
+reason and are not run.  This table is a check: an entry is never
+deleted or weakened to get a pass.  A survivor becomes a new test, or
+a recorded finding.
+
+Exit code: 0 when every mutant is killed, 1 when one survives, 2 when
+the table does not match the sources or the unmutated suite fails.
+"""
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    snippet: str
+    replacement: str
+    why: str
+
+
+MUTANTS = [
+    # -- audits ------------------------------------------------------------
+    Mutant(
+        "result-first-residual", "src/mosco_graphs/audits.py",
+        "residual = float(np.max(residuals, initial=0.0)) + 0.0",
+        "residual = float(np.ravel(residuals)[0]) + 0.0",
+        "an audit must judge every probe of its batch, not the first",
+    ),
+    Mutant(
+        "result-mean-residual", "src/mosco_graphs/audits.py",
+        "residual = float(np.max(residuals, initial=0.0)) + 0.0",
+        "residual = float(np.mean(residuals)) + 0.0",
+        "one bad probe must fail an audit, however many good ones it has",
+    ),
+    # -- models and stages ---------------------------------------------------
+    Mutant(
+        "decay-time", "src/mosco_graphs/models.py",
+        "out = -np.expm1(np.multiply.outer(t, -self.eigenvalues))",
+        "out = -np.expm1(np.multiply.outer(2 * t, -self.eigenvalues))",
+        "the semigroup at time t is not the one at 2t",
+    ),
+    Mutant(
+        "off-span-form", "src/mosco_graphs/pipeline.py",
+        "off_span = model.space.inner(residual, residual)",
+        "off_span = 0.0 * model.space.inner(residual, residual)",
+        "mass off the spectral span pays the full rate 2^n in the form",
+    ),
+    Mutant(
+        "gram-scale", "src/mosco_graphs/pipeline.py",
+        "self._gram = space.coefficients(off_span, off_span)",
+        "self._gram = 2.0 * space.coefficients(off_span, off_span)",
+        "the off-span Gram matrix enters the stage matrix once",
+    ),
+    Mutant(
+        "matrix-scale", "src/mosco_graphs/pipeline.py",
+        "matrix = -index.bound * (cross + cross.T) / 2.0",
+        "matrix = -index.bound * (cross + cross.T) / 4.0",
+        "the stage matrix carries the full 2^n prefactor",
+    ),
+    Mutant(
+        "nsd-check-off", "src/mosco_graphs/pipeline.py",
+        "if top > NSD_TOL:",
+        "if top > float('inf'):",
+        "a stage generator with a positive eigenvalue must be refused",
+    ),
+    Mutant(
+        "partition-restriction", "src/mosco_graphs/pipeline.py",
+        "return partition.restrict(space, space.exhaustion_set(index.l))",
+        "return partition",
+        "the final-stage partition lives on the exhaustion set X_l",
+    ),
+    Mutant(
+        "overflow-window", "src/mosco_graphs/pipeline.py",
+        "labels = np.where(values > window, 4**k, labels)",
+        "labels = np.where(values > 2 * window, 4**k, labels)",
+        "every value above 2^k shares one overflow cell",
+    ),
+    Mutant(
+        "floor-for-ceil-window", "src/mosco_graphs/pipeline.py",
+        "labels = np.ceil(values * window).astype(np.int64) - 1",
+        "labels = np.floor(values * window).astype(np.int64)",
+        "windows are closed at the top, (j 2^-k, (j + 1) 2^-k]; on the built-in "
+        "models no basis value sits on an edge, so only a hand-made basis sees it",
+    ),
+    Mutant(
+        "validate-for-l-rule", "src/mosco_graphs/pipeline.py",
+        "if self.l is not None and self.l > model.space.l_max:",
+        "if self.l is not None and self.l > model.space.l_max + 1:",
+        "an l beyond the exhaustion depth must be refused at startup",
+    ),
+    # -- resolvents ----------------------------------------------------------
+    Mutant(
+        "residual-check-dropped", "src/mosco_graphs/convergence.py",
+        "    _check_residual(stage, lam, u, c, f)\n    return u",
+        "    return u",
+        "an inaccurate subspace solve must be refused, not written",
+    ),
+    Mutant(
+        "rhs-scale", "src/mosco_graphs/convergence.py",
+        "rhs = c.reshape(-1, stage.dim).T",
+        "rhs = 2.0 * c.reshape(-1, stage.dim).T",
+        "the solve takes the coefficients of f as they are",
+    ),
+    Mutant(
+        "complement-scale", "src/mosco_graphs/convergence.py",
+        "return _solve(stage, lam, c, f) @ stage.subspace + complement / lam",
+        "return _solve(stage, lam, c, f) @ stage.subspace + complement",
+        "the stage resolvent acts as 1/lambda off its subspace",
+    ),
+    Mutant(
+        "sweep-complement-scale", "src/mosco_graphs/convergence.py",
+        "errors = model.space.norm(u @ stage.subspace + complement / lam - exact)",
+        "errors = model.space.norm(u @ stage.subspace + complement - exact)",
+        "the sweep's resolvent acts as 1/lambda off the stage subspace",
+    ),
+    # -- graphs --------------------------------------------------------------
+    Mutant(
+        "edge-eps-filter", "src/mosco_graphs/graphs.py",
+        "keep = c > EDGE_EPS",
+        "keep = c > 0",
+        "conductances at or below EDGE_EPS are not exported",
+    ),
+    Mutant(
+        "killing-slack", "src/mosco_graphs/graphs.py",
+        "slack = KILLING_TOL * max(1.0, float(np.max(c.sum(axis=0))))",
+        "slack = KILLING_TOL",
+        "the killing slack grows with the conductance column sums",
+    ),
+    Mutant(
+        "reader-negative-endpoint", "src/mosco_graphs/graphs.py",
+        "if np.any((end < 0) | (end >= v)):",
+        "if np.any(end >= v):",
+        "a negative edge endpoint must be refused by both readers",
+    ),
+    Mutant(
+        "reader-endpoint-beyond-v", "src/mosco_graphs/graphs.py",
+        "if np.any((end < 0) | (end >= v)):",
+        "if np.any(end < 0):",
+        "an edge endpoint past the last vertex must be refused by both readers",
+    ),
+    # -- configuration -------------------------------------------------------
+    Mutant(
+        "sweep-grid-corners-unchecked", "src/mosco_graphs/convergence.py",
+        "            StageIndex(*(None if axis is None else axis[end] for axis in axes))",
+        "            pass",
+        "the grid's ranges and axis dependencies are StageIndex's, checked on its corners",
+    ),
+    Mutant(
+        "grid-axis-not-increasing", "src/mosco_graphs/convergence.py",
+        "if any(b <= a for a, b in zip(values, values[1:])):",
+        "if False:",
+        "a repeated grid value gives duplicate records, a decreasing one unchecked points",
+    ),
+    Mutant(
+        "grid-axis-empty", "src/mosco_graphs/convergence.py",
+        "    if not values:\n        raise ValueError(f\"{name} needs at least one value\")\n",
+        "",
+        "an empty axis is a sweep of no records",
+    ),
+    Mutant(
+        "lambdas-not-distinct", "src/mosco_graphs/config.py",
+        "if lam in self.lambdas[:i]:",
+        "if False:",
+        "a repeated lambda writes every CSV row twice",
+    ),
+    Mutant(
+        "exports-not-distinct", "src/mosco_graphs/config.py",
+        "if ix in self.graph_exports[:i]:",
+        "if False:",
+        "a repeated export builds and writes the same graph twice",
+    ),
+    Mutant(
+        "modes-unchecked", "src/mosco_graphs/config.py",
+        "if self.modes < 1:",
+        "if False:",
+        "a config needs at least one mode",
+    ),
+    Mutant(
+        "vector-counts-unchecked", "src/mosco_graphs/config.py",
+        "            if count < 0:",
+        "            if False:",
+        "a negative probe count is not a battery size",
+    ),
+    # -- artifacts -----------------------------------------------------------
+    Mutant(
+        "artifact-preflight-dropped", "src/mosco_graphs/cli.py",
+        "if (out / name).exists() and not (out / name).is_file():",
+        "if False:",
+        "an artifact path that cannot be written is refused before the work",
+    ),
+    Mutant(
+        "artifact-replace-skipped", "src/mosco_graphs/cli.py",
+        "            os.replace(temp, path)",
+        "            pass",
+        "an artifact is moved into place once it is whole",
+    ),
+    Mutant(
+        "artifact-temporary-kept", "src/mosco_graphs/cli.py",
+        "            if temp.is_file():\n                temp.unlink()",
+        "            pass",
+        "a failed write leaves no temporary file behind",
+    ),
+]
+
+EQUIVALENT = [
+    Mutant(
+        "mask-before-conditioning", "src/mosco_graphs/pipeline.py",
+        "            if index.l is not None:\n"
+        "                images = images * space.exhaustion_mask(index.l)",
+        "            if index.l is not None and index.k is None:\n"
+        "                images = images * space.exhaustion_mask(index.l)",
+        "equivalent: with k the partition is restricted to X_l, so the cell "
+        "averages already ignore every site the mask would zero",
+    ),
+]
+
+
+def _count(mutant: Mutant) -> int:
+    return (ROOT / mutant.file).read_text().count(mutant.snippet)
+
+
+def _copy(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "*.pyc")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    for name in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / name, dest / name)
+
+
+def _pytest(copy: Path) -> tuple[int, str, float]:
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+        cwd=copy, env=env, capture_output=True, text=True,
+    )
+    output = done.stdout + done.stderr
+    first = re.search(r"^(?:FAILED|ERROR) (\S+)", output, flags=re.M)
+    return done.returncode, first.group(1) if first else "", time.perf_counter() - start
+
+
+def _run(mutant: Mutant | None) -> tuple[int, str, float]:
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp)
+        _copy(copy)
+        if mutant is not None:
+            path = copy / mutant.file
+            path.write_text(path.read_text().replace(mutant.snippet, mutant.replacement))
+        return _pytest(copy)
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--list"]:
+        for m in MUTANTS:
+            print(f"{m.name:32} {m.file}: {m.why}")
+        for m in EQUIVALENT:
+            print(f"{m.name:32} {m.file}: {m.why}")
+        return 0
+    table = {m.name: m for m in MUTANTS}
+    unknown = [name for name in argv if name not in table]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    bad = [f"{m.name}: snippet occurs {n} times in {m.file}"
+           for m in MUTANTS + EQUIVALENT if (n := _count(m)) != 1]
+    if bad:
+        print("\n".join(bad), file=sys.stderr)
+        return 2
+    code, first, seconds = _run(None)
+    if code != 0:
+        print(f"the unmutated suite fails ({first or f'exit {code}'}); nothing to measure",
+              file=sys.stderr)
+        return 2
+    print(f"unmutated suite passes in {seconds:.1f} s")
+    selected = [table[name] for name in argv] or MUTANTS
+    survivors = 0
+    for mutant in selected:
+        code, first, seconds = _run(mutant)
+        # pytest exits 1 on a failed test and 2 on an error; 0 is a survivor.
+        verdict = "killed" if code != 0 else "SURVIVED"
+        survivors += code == 0
+        print(f"{verdict:8} {seconds:6.1f} s  {mutant.name:32} {first}", flush=True)
+    for mutant in EQUIVALENT:
+        print(f"{'equiv':8} {'':8}  {mutant.name:32} {mutant.why}")
+    print(f"{len(selected) - survivors} killed, {survivors} survived, "
+          f"{len(EQUIVALENT)} equivalent")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

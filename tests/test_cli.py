@@ -1,9 +1,11 @@
 """Config validation and the command-line surface, run in process."""
+import errno
 import json
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,7 @@ from mosco_graphs import (
 from mosco_graphs.config import (
     KNOWN_FIELDS,
     ExperimentConfig,
+    TestVectorSpec as VectorSpec,  # an alias pytest does not collect
     config_from_dict,
     default_config,
     load_config,
@@ -69,7 +72,7 @@ class TestConfigValidation:
             ({"schema": 1, "resolution": 100, "modes": 64}, "over-resolve"),
             ({"schema": 1, "wavelets": 3}, "unknown field"),
             ({"schema": 2}, "unsupported"),
-            ({"schema": 1, "grid": {"n": [2], "m": [4], "k": [1]}}, "grid.l"),
+            ({"schema": 1, "grid": {"n": [2], "m": [4], "k": [1]}}, "grid: k requires l"),
             ({"schema": 1, "basis": "fourier"}, "basis"),
             ({"schema": 1, "grid": {"n": [4, 2], "m": [4]}}, "strictly increasing"),
             ({"schema": 1, "lambdas": [1.0, -2.0]}, "positive"),
@@ -83,6 +86,101 @@ class TestConfigValidation:
         for data, needle in cases:
             with pytest.raises(ConfigError, match=needle):
                 config_from_dict(data)
+
+    # Every rule a config obeys, whether it is read from a file or built in
+    # code: (JSON fields over the minimal config, dataclass overrides of the
+    # default config, message).  A tuple export stands for an index that
+    # StageIndex itself refuses to build (see test_pipeline.py).
+    RULES = {
+        "decreasing-axis": (
+            {"grid": {"n": [4, 2]}}, {"grid_n": (4, 2)},
+            r"grid: n values must be strictly increasing, got \(4, 2\)",
+        ),
+        "empty-axis": (
+            {"grid": {"n": [2], "m": []}}, {"grid_m": ()}, "grid: m needs at least one value",
+        ),
+        "k-without-l": (
+            {"grid": {"n": [2], "m": [4], "k": [1]}}, {"grid_l": None}, "grid: k requires l",
+        ),
+        "grid-n": (
+            {"grid": {"n": [2, 1100]}}, {"grid_n": (2, 1100)},
+            r"grid: n must be in 0\.\.1023, got 1100",
+        ),
+        "grid-k": (
+            {"grid": {"n": [2], "m": [4], "l": [2], "k": [2, 32]}}, {"grid_k": (2, 32)},
+            r"grid: k must be in 0\.\.31, got 32",
+        ),
+        "export-n": (
+            {"graph_exports": [[1100, 2, 1, 1]]}, {"graph_exports": ((1100, 2, 1, 1),)},
+            r"graph_exports\[0\]: ",
+        ),
+        "export-k": (
+            {"graph_exports": [[4, 8, 4, 32]]}, {"graph_exports": ((4, 8, 4, 32),)},
+            r"graph_exports\[0\]: ",
+        ),
+        "nan-lambda": (
+            {"lambdas": [1.0, float("nan")]}, {"lambdas": (1.0, float("nan"))},
+            r"lambdas\[1\]: resolvent parameter must be a finite float",
+        ),
+        "negative-lambda": (
+            {"lambdas": [-1.0]}, {"lambdas": (-1.0,)},
+            r"lambdas\[0\]: resolvent parameter must be positive",
+        ),
+        "repeated-lambda": (
+            {"lambdas": [1.0, 1.0]}, {"lambdas": (1.0, 1.0)}, r"lambdas\[1\]: 1.0 repeats",
+        ),
+        "no-lambda": ({"lambdas": []}, {"lambdas": ()}, "lambdas: expected at least one"),
+        "no-modes": ({"modes": 0}, {"modes": 0}, "modes: 0 is below the minimum 1"),
+        "repeated-export": (
+            {"graph_exports": [[4, 8, 4, 4], [2, 4, 2, 2], [4, 8, 4, 4]]},
+            {"graph_exports": (StageIndex(4, 8, 4, 4), StageIndex(4, 8, 4, 4))},
+            r"graph_exports\[\d\]: n4_m8_l4_k4 repeats an earlier export",
+        ),
+        "partial-export": (
+            {"graph_exports": [[4, None, None, None]]}, {"graph_exports": (StageIndex(4),)},
+            r"graph_exports\[0\]: StageIndex\(n=4, m=None, l=None, k=None\) is not a full",
+        ),
+    }
+
+    @pytest.mark.parametrize("fields, overrides, needle", RULES.values(), ids=RULES.keys())
+    def test_each_rule_holds_for_files_code_and_the_cli(
+        self, tmp_path, capsys, monkeypatch, fields, overrides, needle
+    ):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli, "iterated_limit_sweep", no_sweep)
+        data = minimal_dict(tmp_path / "out")
+        data.update(fields)
+        with pytest.raises(ConfigError, match=needle):
+            config_from_dict(data)
+        with pytest.raises(ConfigError, match=needle):
+            replace(default_config(), **overrides)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        for command in ("run", "export-graph"):
+            assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+            err = capsys.readouterr().err
+            assert re.match(f"config error: {needle}", err) and err.count("\n") == 1
+            assert not (tmp_path / "out").exists()
+
+    def test_test_vector_counts_are_not_negative(self):
+        with pytest.raises(ConfigError, match=r"test_vectors\.span: -1 is below the minimum 0"):
+            config_from_dict({"schema": 1, "test_vectors": {"span": -1}})
+        with pytest.raises(ConfigError, match=r"test_vectors\.basis: -2 is below the minimum 0"):
+            VectorSpec(n_basis=-2)
+
+    def test_n_only_grid_runs(self, tmp_path):
+        # The raw difference-quotient forms: m, l and k stay blank.
+        data = {"schema": 1, "resolution": 256, "modes": 16, "grid": {"n": [2, 4]},
+                "graph_exports": [], "out_dir": str(tmp_path / "out")}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_OK
+        rows = (tmp_path / "out" / "convergence.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2 * len(default_config().lambdas) * 15
+        assert {tuple(row.split(",")[1:4]) for row in rows} == {("", "", "")}
+        assert {row.split(",")[0] for row in rows} == {"2", "4"}
 
     @pytest.mark.parametrize(
         "lambdas, needle",
@@ -107,8 +205,11 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "command, field, value, needle",
         [
-            ("run", "grid", {"n": [2, 1100], "m": [4]}, r"grid\.n\[1\]: 1100 is above"),
-            ("export-graph", "graph_exports", [[1100, 2, 1, 1]], r"graph_exports\[0\]\[0\]: 1100"),
+            ("run", "grid", {"n": [2, 1100], "m": [4]}, r"grid: n must be in 0\.\.1023, got 1100"),
+            (
+                "export-graph", "graph_exports", [[1100, 2, 1, 1]],
+                r"graph_exports\[0\]: n must be in 0\.\.1023, got 1100",
+            ),
         ],
         ids=["grid.n", "graph_exports"],
     )
@@ -130,9 +231,12 @@ class TestConfigValidation:
                 "run",
                 "grid",
                 {"n": [2], "m": [4], "l": [2], "k": [2, 32]},
-                r"grid\.k\[1\]: 32 is above the maximum 31",
+                r"grid: k must be in 0\.\.31, got 32",
             ),
-            ("export-graph", "graph_exports", [[4, 8, 4, 32]], r"graph_exports\[0\]\[3\]: 32"),
+            (
+                "export-graph", "graph_exports", [[4, 8, 4, 32]],
+                r"graph_exports\[0\]: k must be in 0\.\.31, got 32",
+            ),
         ],
         ids=["grid.k", "graph_exports"],
     )
@@ -225,6 +329,72 @@ class TestConfigValidation:
     def test_missing_file_is_a_config_error(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "nope.json")
+
+
+class TestArtifacts:
+    """Every artifact path is checked before the work starts, and every
+    artifact is written whole or not at all."""
+
+    RUN = ["convergence.csv", "graph_n2_m4_l2_k2.json", "audits.json"]
+    EXPORT = [f"graph_n2_m4_l2_k2{suffix}" for suffix in (".json", ".edges.txt", ".vertices.txt")]
+
+    def _config(self, tmp_path):
+        data = minimal_dict(tmp_path / "out")
+        data["graph_exports"] = [[2, 4, 2, 2]]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize(
+        "command, name", [("run", n) for n in RUN] + [("export-graph", n) for n in EXPORT]
+    )
+    def test_an_artifact_path_that_is_not_a_file_is_refused_first(
+        self, tmp_path, capsys, monkeypatch, command, name
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the work started")
+
+        monkeypatch.setattr(cli, "iterated_limit_sweep", unreachable)
+        monkeypatch.setattr(cli, "final_stage_graph", unreachable)
+        blocker = tmp_path / "out" / name
+        blocker.mkdir(parents=True)
+        assert cli.main([command, "--config", str(self._config(tmp_path))]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err == f"config error: out_dir: {blocker} exists and is not a regular file\n"
+        assert blocker.is_dir() and os.listdir(tmp_path / "out") == [name]
+
+    @pytest.mark.parametrize(
+        "command, failing, kept",
+        [
+            ("run", "convergence.csv", []),
+            ("run", "audits.json", ["convergence.csv", "graph_n2_m4_l2_k2.json"]),
+            ("export-graph", "graph_n2_m4_l2_k2.json", []),
+            ("export-graph", "graph_n2_m4_l2_k2.vertices.txt", ["graph_n2_m4_l2_k2.json"]),
+        ],
+    )
+    def test_a_write_failing_midway_leaves_no_partial_file(
+        self, tmp_path, capsys, monkeypatch, command, failing, kept
+    ):
+        real_write_text = Path.write_text
+
+        def disk_full_on(self, text, *args, **kwargs):
+            if self.name != f".{failing}.tmp":
+                return real_write_text(self, text, *args, **kwargs)
+            real_write_text(self, text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+
+        monkeypatch.setattr(Path, "write_text", disk_full_on)
+        config = self._config(tmp_path)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / failing).write_text("the previous run\n")
+        assert cli.main([command, "--config", str(config)]) == cli.EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: out_dir: cannot write {out}")
+        assert err.endswith(": No space left on device\n") and failing in err
+        # The failed write leaves the old file as it was, and no temporary.
+        assert sorted(os.listdir(out)) == sorted(kept + [failing])
+        assert (out / failing).read_text() == "the previous run\n"
 
 
 class TestRunCommand:

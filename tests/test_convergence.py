@@ -367,18 +367,25 @@ class TestSweep:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             SweepGrid(n=())
-        with pytest.raises(ValueError, match="m-grid"):
+        # An empty axis used to give a grid of no points and a sweep of no records.
+        with pytest.raises(ValueError, match="m needs at least one value"):
+            SweepGrid(n=(2,), m=())
+        with pytest.raises(ValueError, match="n must be in 0..1023, got 1100"):
+            SweepGrid(n=(2, 1100))
+        with pytest.raises(ValueError, match="m must be >= 1, got 0"):
+            SweepGrid(n=(2,), m=(0, 4))
+        with pytest.raises(ValueError, match="l requires m"):
             SweepGrid(n=(1,), l=(1,))
-        with pytest.raises(ValueError, match="l-grid"):
+        with pytest.raises(ValueError, match="k requires l"):
             SweepGrid(n=(1,), m=(2,), k=(1,))
         # int() used to turn 2.7 into 2, so this grid gave two n2 records.
-        with pytest.raises(ValueError, match="grid n: values must be integers, got 2.7"):
+        with pytest.raises(ValueError, match="n values must be integers, got 2.7"):
             SweepGrid(n=(2.7, 2.7))
-        with pytest.raises(ValueError, match="grid m: values must be integers, got True"):
+        with pytest.raises(ValueError, match="m values must be integers, got True"):
             SweepGrid(n=(1,), m=(True,))
-        with pytest.raises(ValueError, match="grid l: values must be strictly increasing"):
+        with pytest.raises(ValueError, match="l values must be strictly increasing"):
             SweepGrid(n=(1,), m=(2,), l=(1, 1))
-        with pytest.raises(ValueError, match="grid k: values must be strictly increasing"):
+        with pytest.raises(ValueError, match="k values must be strictly increasing"):
             SweepGrid(n=(1,), m=(2,), l=(1,), k=(3, 2))
         grid = SweepGrid(n=np.array([1, 4]), m=(np.int32(2),))
         assert grid.n == (1, 4) and grid.m == (2,)

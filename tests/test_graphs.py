@@ -140,6 +140,8 @@ class TestGraphValidation:
         # scale 2^40 the energy of the constant would be -2 on this graph.
         with pytest.raises(ValueError, match="killing"):
             WeightedGraph([1.0, 1.0], [[0.0, 1.0], [1.0, 0.0]], [-1.0, -1.0], scale=2.0**40)
+        # while a rounding-sized negative beside large conductances passes.
+        WeightedGraph([1.0, 1.0], [[0.0, 1e6], [1e6, 0.0]], [-1e-5, 0.0])
         with pytest.raises(ValueError, match="scale"):
             WeightedGraph(vertex_weights=mu, conductances=c, killing=kappa, scale=0.0)
         with pytest.raises(DimensionMismatch):

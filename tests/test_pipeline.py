@@ -212,9 +212,9 @@ class TestLevelPartition:
     def test_half_open_windows_and_tails(self):
         # Weights chosen so the raw row is already unit norm, keeping the
         # sampled values exactly on the window edges they are meant to probe.
-        values = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-        weights = np.full(5, 1.0 / float(np.sum(values**2)))
-        space = AmbientSpace(np.arange(5.0), weights, (np.arange(5),))
+        values = np.array([-2.0, -0.5, 0.0, 0.5, 2.0, 2.2, 3.1, -2.6])
+        weights = np.full(8, 1.0 / float(np.sum(values**2)))
+        space = AmbientSpace(np.arange(8.0), weights, (np.arange(8),))
         basis = OrthonormalBasis(space, values[None, :])
         part = level_partition(basis, 1, 1)
         label_of = {}
@@ -228,6 +228,11 @@ class TestLevelPartition:
         assert label_of[2] == -1
         assert label_of[3] == 0
         assert label_of[4] == 3
+        # Every value above 2^k shares the one upper overflow cell, and
+        # every value at or below -2^k the lower one.
+        assert label_of[5] == label_of[6] == 4
+        assert part.cell_of[5] == part.cell_of[6]
+        assert label_of[7] == -5 and part.cell_of[7] == part.cell_of[0]
         tails = part.tail_mask
         assert tails[part.cell_of[0]]
         assert not tails[part.cell_of[4]]
