@@ -1,9 +1,10 @@
 """Experiment configuration: schema, defaults, validation.
 
 Configs are plain JSON with a versioned ``schema`` field.  The loader only
-checks JSON shapes and types; each value rule lives on the type that owns
-it, so a config built in code obeys the same rules as one read from a file.
-Every complaint names the offending field by its path (``lambdas[2]``).
+maps JSON onto the constructors; each type and value rule lives on the
+type that owns it, so a config built in code obeys the same rules as one
+read from a file.  Every complaint names the offending field by its path
+(``lambdas[2]``).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from .convergence import SweepGrid
 from .errors import ConfigError
-from .pipeline import StageIndex
+from .pipeline import StageIndex, is_integer
 
 SCHEMA_VERSION = 1
 
@@ -24,6 +25,21 @@ SCHEMA_VERSION = 1
 RESOLUTION_FACTOR = 4
 
 BASIS_CHOICES = ("eigen", "haar")
+
+# What a value must be, by the words a complaint uses for it.
+KINDS = {
+    "an integer": is_integer,
+    "a number": lambda value: is_integer(value) or isinstance(value, float),
+    "a string": lambda value: isinstance(value, str),
+    "true or false": lambda value: isinstance(value, bool),
+    "a list": lambda value: isinstance(value, (list, tuple)),
+    "a TestVectorSpec": lambda value: isinstance(value, TestVectorSpec),
+}
+
+
+def _check_type(value, kind: str, path: str) -> None:
+    if not KINDS[kind](value):
+        raise ConfigError(f"{path}: expected {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,8 +53,17 @@ class TestVectorSpec:
 
     def __post_init__(self):
         for key, count in (("basis", self.n_basis), ("span", self.n_span), ("step", self.n_step)):
+            _check_type(count, "an integer", f"test_vectors.{key}")
             if count < 0:
                 raise ConfigError(f"test_vectors.{key}: {count} is below the minimum 0")
+        _check_type(self.include_constant, "true or false", "test_vectors.constant")
+
+
+FIELD_KINDS = {
+    "model": "a string", "resolution": "an integer", "modes": "an integer", "basis": "a string",
+    "lambdas": "a list", "test_vectors": "a TestVectorSpec", "graph_exports": "a list",
+    "out_dir": "a string", "seed": "an integer",
+}
 
 
 @dataclass(frozen=True)
@@ -58,6 +83,8 @@ class ExperimentConfig:
     seed: int = 7
 
     def __post_init__(self):
+        for name, kind in FIELD_KINDS.items():
+            _check_type(getattr(self, name), kind, name)
         if self.basis not in BASIS_CHOICES:
             raise ConfigError(f"basis: got {self.basis!r}, expected one of {BASIS_CHOICES}")
         if self.modes < 1:
@@ -70,13 +97,21 @@ class ExperimentConfig:
             )
         if self.seed < 0:
             raise ConfigError(f"seed: {self.seed} is below the minimum 0")
+        if not self.out_dir:
+            raise ConfigError('out_dir: must not be empty; use "." for the working directory')
         try:
-            self.sweep_grid()
+            grid = self.sweep_grid()
         except ValueError as exc:
             raise ConfigError(f"grid: {exc}") from None
+        # Normalised as SweepGrid stores them, so a config built in code equals the file's.
+        for name in ("n", "m", "l", "k"):
+            object.__setattr__(self, f"grid_{name}", getattr(grid, name))
+        object.__setattr__(self, "lambdas", tuple(self.lambdas))
+        object.__setattr__(self, "graph_exports", tuple(self.graph_exports))
         if not self.lambdas:
             raise ConfigError("lambdas: expected at least one resolvent parameter")
         for i, lam in enumerate(self.lambdas):
+            _check_type(lam, "a number", f"lambdas[{i}]")
             # json reads NaN and Infinity; NaN fails every comparison.
             if not abs(lam) <= sys.float_info.max:
                 raise ConfigError(f"lambdas[{i}]: resolvent parameter must be a finite float")
@@ -99,59 +134,16 @@ def default_config() -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Parsing helpers: JSON shapes and types only.  Each takes the dotted path
-# used in complaints.
+# The loader: JSON shapes only, mapped onto the constructors above.
 
 
-def _get(data: dict, key: str, path: str):
-    if key not in data:
-        raise ConfigError(f"{path}: missing required field")
-    return data[key]
-
-
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _as_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}: expected true or false, got {value!r}")
-    return value
-
-
-def _as_str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a string, got {value!r}")
-    return value
-
-
-def _list(value, path: str, what: str) -> tuple:
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected a list of {what}")
-    return tuple(value)
-
-
-def _lambda_axis(value, path: str) -> tuple:
-    out = _list(value, path, "positive numbers")
-    for i, item in enumerate(out):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ConfigError(f"{path}[{i}]: expected a number, got {item!r}")
-    return out
-
-
-def _export_axis(value, path: str) -> tuple:
-    out = []
-    for i, item in enumerate(_list(value, path, "[n, m, l, k] quadruples")):
-        here = f"{path}[{i}]"
-        if not isinstance(item, list) or len(item) != 4:
-            raise ConfigError(f"{here}: expected a quadruple [n, m, l, k]")
-        try:
-            out.append(StageIndex(*item))
-        except ValueError as exc:
-            raise ConfigError(f"{here}: {exc}") from exc
-    return tuple(out)
+def _stage_index(item, path: str) -> StageIndex:
+    if not isinstance(item, list) or len(item) != 4:
+        raise ConfigError(f"{path}: expected a quadruple [n, m, l, k]")
+    try:
+        return StageIndex(*item)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _vector_spec(value, path: str) -> TestVectorSpec:
@@ -161,39 +153,28 @@ def _vector_spec(value, path: str) -> TestVectorSpec:
     for key in value:
         if key not in fields:
             raise ConfigError(f"{path}.{key}: unknown field (known: {sorted(fields)})")
-    return TestVectorSpec(**{
-        fields[key]: (_as_bool if key == "constant" else _as_int)(item, f"{path}.{key}")
-        for key, item in value.items()
-    })
+    return TestVectorSpec(**{fields[key]: item for key, item in value.items()})
 
 
-KNOWN_FIELDS = {
-    "schema",
-    "model",
-    "resolution",
-    "modes",
-    "basis",
-    "grid",
-    "lambdas",
-    "test_vectors",
-    "graph_exports",
-    "out_dir",
-    "seed",
-}
+KNOWN_FIELDS = {"schema", "grid", *FIELD_KINDS}
 
 
 def config_from_dict(data) -> ExperimentConfig:
-    """Parse a JSON object into an ExperimentConfig, which checks the values."""
+    """Map a JSON object onto an ExperimentConfig, which checks every field."""
     if not isinstance(data, dict):
         raise ConfigError("top level: expected a JSON object")
     for key in data:
         if key not in KNOWN_FIELDS:
             raise ConfigError(f"{key}: unknown field (known: {sorted(KNOWN_FIELDS)})")
-    schema = _as_int(_get(data, "schema", "schema"), "schema")
-    if schema != SCHEMA_VERSION:
-        raise ConfigError(f"schema: version {schema} unsupported (this build reads {SCHEMA_VERSION})")
+    if "schema" not in data:
+        raise ConfigError("schema: missing required field")
+    _check_type(data["schema"], "an integer", "schema")
+    if data["schema"] != SCHEMA_VERSION:
+        raise ConfigError(
+            f"schema: version {data['schema']} unsupported (this build reads {SCHEMA_VERSION})"
+        )
 
-    kwargs = {}
+    kwargs = {key: value for key, value in data.items() if key not in ("schema", "grid")}
     if "grid" in data:
         grid = data["grid"]
         if not isinstance(grid, dict):
@@ -201,16 +182,13 @@ def config_from_dict(data) -> ExperimentConfig:
         for key in grid:
             if key not in ("n", "m", "l", "k"):
                 raise ConfigError(f"grid.{key}: unknown axis (known: n, m, l, k)")
-        _get(grid, "n", "grid.n")
-        for key in ("n", "m", "l", "k"):
-            axis = _list(grid[key], f"grid.{key}", "integers") if key in grid else None
-            kwargs[f"grid_{key}"] = axis
-    parsers = {
-        "model": _as_str, "resolution": _as_int, "modes": _as_int, "basis": _as_str,
-        "lambdas": _lambda_axis, "test_vectors": _vector_spec, "graph_exports": _export_axis,
-        "out_dir": _as_str, "seed": _as_int,
-    }
-    kwargs.update((key, parse(data[key], key)) for key, parse in parsers.items() if key in data)
+        kwargs.update((f"grid_{key}", grid.get(key)) for key in ("n", "m", "l", "k"))
+    if "test_vectors" in data:
+        kwargs["test_vectors"] = _vector_spec(data["test_vectors"], "test_vectors")
+    if isinstance(data.get("graph_exports"), list):
+        kwargs["graph_exports"] = [
+            _stage_index(item, f"graph_exports[{i}]") for i, item in enumerate(data["graph_exports"])
+        ]
     return ExperimentConfig(**kwargs)
 
 

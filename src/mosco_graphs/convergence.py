@@ -27,7 +27,7 @@ import scipy
 from .errors import SolverError
 from .measure import CellPartition, OrthonormalBasis
 from .models import SpectralModel
-from .pipeline import Stage, StageForm, StageIndex, semigroup_form
+from .pipeline import Stage, StageForm, StageIndex, is_integer, semigroup_form
 
 # Residual guard for the resolvent solves, relative to ||f||.
 RESIDUAL_TOL = 1e-9
@@ -132,13 +132,16 @@ def resolvent_error(
 # ---------------------------------------------------------------------------
 
 def _grid_axis(name: str, values) -> tuple[int, ...]:
-    """The values of one grid axis as ints, refusing an empty axis,
-    non-integers and booleans, and values that repeat or decrease."""
+    """The values of one grid axis as ints, refusing anything but a list,
+    tuple or one-dimensional array, an empty axis, non-integers and
+    booleans, and values that repeat or decrease."""
+    if not (isinstance(values, (list, tuple)) or getattr(values, "ndim", None) == 1):
+        raise ValueError(f"{name} must be a list of integers, got {values!r}")
     values = tuple(values)
     if not values:
         raise ValueError(f"{name} needs at least one value")
     for v in values:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        if not is_integer(v):
             raise ValueError(f"{name} values must be integers, got {v!r}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError(f"{name} values must be strictly increasing, got {values}")
@@ -158,7 +161,7 @@ class SweepGrid:
     def __post_init__(self):
         for name in ("n", "m", "l", "k"):
             value = getattr(self, name)
-            if value is not None:
+            if value is not None or name == "n":
                 object.__setattr__(self, name, _grid_axis(name, value))
         # The axes increase strictly, so the first and last points bound
         # every value: StageIndex states the ranges and which axes need which.

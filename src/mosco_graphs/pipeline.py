@@ -51,6 +51,11 @@ K_MAX = 31
 # stage indices
 # ---------------------------------------------------------------------------
 
+def is_integer(value) -> bool:
+    """An int or a numpy integer, never a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class StageIndex:
     """Which stages are enabled, and how deep.
@@ -69,9 +74,7 @@ class StageIndex:
     def __post_init__(self):
         for field in ("n", "m", "l", "k"):
             value = getattr(self, field)
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            ):
+            if value is not None and not is_integer(value):
                 raise ValueError(f"{field} must be an integer, got {value!r}")
         if not 0 <= self.n <= N_MAX:
             raise ValueError(f"n must be in 0..{N_MAX}, got {self.n}")

@@ -209,6 +209,60 @@ MUTANTS = [
         "            if False:",
         "a negative probe count is not a battery size",
     ),
+    Mutant(
+        "check-type-dropped", "src/mosco_graphs/config.py",
+        'raise ConfigError(f"{path}: expected {kind}, got {value!r}")',
+        "pass",
+        "a value of the wrong type fails as a ConfigError naming its field",
+    ),
+    Mutant(
+        "field-types-unchecked", "src/mosco_graphs/config.py",
+        "            _check_type(getattr(self, name), kind, name)",
+        "            pass",
+        "a config built in code checks its field types as a file does",
+    ),
+    Mutant(
+        "lambda-type-unchecked", "src/mosco_graphs/config.py",
+        '_check_type(lam, "a number", f"lambdas[{i}]")',
+        "pass",
+        "a boolean is not a resolvent parameter",
+    ),
+    Mutant(
+        "vector-count-types-unchecked", "src/mosco_graphs/config.py",
+        '_check_type(count, "an integer", f"test_vectors.{key}")',
+        "pass",
+        "a probe count is an integer",
+    ),
+    Mutant(
+        "vector-constant-type-unchecked", "src/mosco_graphs/config.py",
+        '_check_type(self.include_constant, "true or false", "test_vectors.constant")',
+        "pass",
+        "whether the battery carries the constant is true or false",
+    ),
+    Mutant(
+        "out-dir-empty-allowed", "src/mosco_graphs/config.py",
+        "if not self.out_dir:",
+        "if False:",
+        "an empty out_dir writes the artifacts into the working directory",
+    ),
+    Mutant(
+        "config-axes-not-normalised", "src/mosco_graphs/config.py",
+        'object.__setattr__(self, f"grid_{name}", getattr(grid, name))',
+        "pass",
+        "a config built in code equals the same config read from JSON",
+    ),
+    Mutant(
+        "grid-axis-not-one-dimensional", "src/mosco_graphs/convergence.py",
+        'raise ValueError(f"{name} must be a list of integers, got {values!r}")',
+        "pass",
+        "a grid axis that is not a list fails as a ValueError naming the axis",
+    ),
+    Mutant(
+        "integer-accepts-bool", "src/mosco_graphs/pipeline.py",
+        "return isinstance(value, (int, np.integer)) and not isinstance(value, bool)",
+        "return isinstance(value, (int, np.integer))",
+        "true and false are not indices, counts or seeds",
+    ),
     # -- artifacts -----------------------------------------------------------
     Mutant(
         "artifact-preflight-dropped", "src/mosco_graphs/cli.py",

@@ -140,6 +140,30 @@ class TestConfigValidation:
             {"graph_exports": [[4, None, None, None]]}, {"graph_exports": (StageIndex(4),)},
             r"graph_exports\[0\]: StageIndex\(n=4, m=None, l=None, k=None\) is not a full",
         ),
+        "string-modes": ({"modes": "8"}, {"modes": "8"}, "modes: expected an integer, got '8'"),
+        "float-seed": ({"seed": 1.5}, {"seed": 1.5}, r"seed: expected an integer, got 1\.5"),
+        "float-resolution": (
+            {"resolution": 2048.0}, {"resolution": 2048.0},
+            r"resolution: expected an integer, got 2048\.0",
+        ),
+        "number-model": ({"model": 3}, {"model": 3}, "model: expected a string, got 3"),
+        "number-out-dir": ({"out_dir": 5}, {"out_dir": 5}, "out_dir: expected a string, got 5"),
+        "empty-out-dir": (
+            {"out_dir": ""}, {"out_dir": ""},
+            r'out_dir: must not be empty; use "\." for the working directory',
+        ),
+        "boolean-lambda": (
+            {"lambdas": [1.0, True]}, {"lambdas": (1.0, True)},
+            r"lambdas\[1\]: expected a number, got True",
+        ),
+        "scalar-lambdas": ({"lambdas": 5}, {"lambdas": 5}, "lambdas: expected a list, got 5"),
+        "scalar-exports": (
+            {"graph_exports": 5}, {"graph_exports": 5}, "graph_exports: expected a list, got 5",
+        ),
+        "no-grid-n": (
+            {"grid": {"n": None, "m": [4]}}, {"grid_n": None},
+            "grid: n must be a list of integers, got None",
+        ),
     }
 
     @pytest.mark.parametrize("fields, overrides, needle", RULES.values(), ids=RULES.keys())
@@ -169,6 +193,24 @@ class TestConfigValidation:
             config_from_dict({"schema": 1, "test_vectors": {"span": -1}})
         with pytest.raises(ConfigError, match=r"test_vectors\.basis: -2 is below the minimum 0"):
             VectorSpec(n_basis=-2)
+
+    def test_test_vector_spec_checks_its_types(self):
+        with pytest.raises(ConfigError, match="test_vectors.constant: expected true or false, got 'no'"):
+            VectorSpec(include_constant="no")
+        with pytest.raises(ConfigError, match=r"test_vectors\.step: expected an integer, got 1\.0"):
+            VectorSpec(n_step=1.0)
+        with pytest.raises(ConfigError, match="test_vectors.constant: expected true or false, got 1"):
+            config_from_dict({"schema": 1, "test_vectors": {"constant": 1}})
+        with pytest.raises(ConfigError, match=r"test_vectors: expected a TestVectorSpec, got \{"):
+            replace(default_config(), test_vectors={"basis": 2})
+
+    def test_configs_built_from_json_and_code_compare_equal(self):
+        built = replace(
+            default_config(), grid_n=np.array([2, 4, 6, 8, 10, 12]), grid_m=[1, 2, 4, 8, 16],
+            lambdas=[1.0, 2.0], graph_exports=list(default_config().graph_exports),
+        )
+        assert built == default_config() and hash(built) == hash(default_config())
+        assert all(type(v) is int for v in built.grid_n)
 
     def test_n_only_grid_runs(self, tmp_path):
         # The raw difference-quotient forms: m, l and k stay blank.

@@ -1,6 +1,8 @@
 """Graph extraction, the energy identity, and the export formats."""
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -425,6 +427,12 @@ class TestFinalStageGraphs:
         graph = final_stage_graph(model, model.basis, index)
         alpha = stage.project(model.space.constant())[stage.partition.first_sites]
         assert graph_energy(graph, alpha) <= 1e-10
+
+    def test_readme_quick_look_runs(self, capsys):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        exec(re.search(r"```python\n(.*?)```", readme, flags=re.S).group(1), {})
+        energy = float(capsys.readouterr().out.splitlines()[-1])
+        assert abs(energy) <= 1e-12  # constants cost nothing
 
     def test_coarse_energies_live_inside_fine_graphs(self):
         # Evaluating a coarse step function on the finer graph must give
