@@ -240,7 +240,7 @@ def audit_cell_oscillation(basis: OrthonormalBasis, parts: dict) -> AuditResult:
         # extremes of every mode with one reduceat each.
         order = sites[np.argsort(part.cell_of[sites], kind="stable")]
         starts = np.flatnonzero(np.diff(part.cell_of[order], prepend=-1))
-        block = basis.vectors[:m, order]
+        block = basis.leading(m)[:, order]
         osc = np.maximum.reduceat(block, starts, axis=1) - np.minimum.reduceat(
             block, starts, axis=1
         )

@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 from .errors import SolverError
-from .measure import CellPartition, OrthonormalBasis
+from .measure import CellPartition, OrthonormalBasis, _frozen_array
 from .models import SpectralModel
 from .pipeline import Stage, StageForm, StageIndex, is_integer, semigroup_form
 
@@ -42,10 +42,9 @@ class TestVector:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float, copy=True)
+        values = _frozen_array(self.values)
         if values.ndim != 1 or not np.any(values != 0.0):
             raise ValueError("test vectors must be nonzero one-dimensional arrays")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
 
@@ -91,12 +90,15 @@ def _check_residual(
         )
 
 
-def _solve(stage: StageForm, lam: float, c: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Subspace coefficients u with (lambda - A) u = c, in one guarded solve.
+def _resolve(
+    stage: StageForm, lam: float, c: np.ndarray, complement: np.ndarray, f: np.ndarray
+) -> np.ndarray:
+    """(lambda - L_stage)^{-1} f from f's split on the stage subspace.
 
-    ``c`` holds the coefficients of f on the stage subspace, one row per
-    vector: one SPD solve takes every row as a right-hand side, and the
-    residual must stay under RESIDUAL_TOL relative to ||f|| for each.
+    ``c`` holds the coefficients of f on the subspace, one row per vector,
+    and ``complement`` the rest of f.  One SPD solve takes every row as a
+    right-hand side, and the residual must stay under RESIDUAL_TOL
+    relative to ||f|| for each; the complement is scaled by 1/lambda.
     """
     if not (np.isfinite(lam) and lam > 0):
         raise ValueError(f"lambda must be finite and positive, got {lam}")
@@ -104,7 +106,7 @@ def _solve(stage: StageForm, lam: float, c: np.ndarray, f: np.ndarray) -> np.nda
     rhs = c.reshape(-1, stage.dim).T
     u = scipy.linalg.solve(matrix, rhs, assume_a="pos").T.reshape(c.shape)
     _check_residual(stage, lam, u, c, f)
-    return u
+    return u @ stage.subspace + complement / lam
 
 
 def stage_resolvent(stage: StageForm, lam: float, f: np.ndarray) -> np.ndarray:
@@ -114,7 +116,7 @@ def stage_resolvent(stage: StageForm, lam: float, f: np.ndarray) -> np.ndarray:
     subspace coefficients, and f_perp / lambda is added.
     """
     c, complement = stage.space.split(stage.subspace, f)
-    return _solve(stage, lam, c, f) @ stage.subspace + complement / lam
+    return _resolve(stage, lam, c, complement, f)
 
 
 def resolvent_error(
@@ -226,8 +228,8 @@ def iterated_limit_sweep(
                 else:
                     stage = stage.at(ix.n)
                 for lam, exact in exact_resolvents:
-                    u = _solve(stage.form_data, lam, c, stack)
-                    errors = model.space.norm(u @ stage.subspace + complement / lam - exact)
+                    approx = _resolve(stage.form_data, lam, c, complement, stack)
+                    errors = model.space.norm(approx - exact)
                     by_position[position] += [
                         ConvergenceRecord(
                             ix, float(lam), vec.name, float(e), float(form), float(x)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, SymmetryError
-from .measure import AmbientSpace, CellPartition, OrthonormalBasis
+from .measure import AmbientSpace, CellPartition, OrthonormalBasis, _frozen_array
 from .models import MarkovKernelModel, SpectralModel
 from .pipeline import StageIndex, stage_partition
 
@@ -50,7 +50,8 @@ class WeightedGraph:
     ``scale`` is the prefactor folded into c and kappa relative to the
     generating operator (1 for a plain extraction, 2^n for a stage
     graph); the defect identity reads kappa_j = scale * mu_j - sum_i c_ij.
-    ``partition`` optionally remembers which cells the vertices are.
+    ``partition`` optionally remembers which cells the vertices are.  A
+    graph has at least one vertex, and its arrays are read-only copies.
     """
 
     vertex_weights: np.ndarray
@@ -60,9 +61,10 @@ class WeightedGraph:
     partition: CellPartition | None = None
 
     def __post_init__(self):
-        mu = np.array(self.vertex_weights, dtype=float, copy=True)
-        c = np.array(self.conductances, dtype=float, copy=True)
-        kappa = np.array(self.killing, dtype=float, copy=True)
+        mu, c, kappa = map(_frozen_array, (self.vertex_weights, self.conductances, self.killing))
+        # Every reduction below needs an entry: refuse the empty graph first.
+        if mu.size == 0:
+            raise ValueError("vertex_weights: a graph needs at least one vertex")
         # NaN slips through every comparison below, so finiteness comes first.
         for name, arr in (("vertex_weights", mu), ("conductances", c), ("killing", kappa)):
             if not np.all(np.isfinite(arr)):
@@ -86,8 +88,6 @@ class WeightedGraph:
             slack = KILLING_TOL * max(1.0, float(np.max(c.sum(axis=0))))
         if np.min(kappa) < -slack:
             raise ValueError(f"killing weight {np.min(kappa):.3e} below tolerance")
-        for arr in (mu, c, kappa):
-            arr.setflags(write=False)
         object.__setattr__(self, "vertex_weights", mu)
         object.__setattr__(self, "conductances", c)
         object.__setattr__(self, "killing", kappa)
@@ -222,20 +222,26 @@ def _edge_columns(graph: WeightedGraph):
     return i[keep], j[keep], c[keep]
 
 
-def _json_spelled(values: np.ndarray) -> list[str]:
-    """Each float as ``json.dumps`` spells it: repr, or NaN/Infinity."""
-    return json.dumps(values.tolist())[1:-1].split(", ") if values.size else []
+def _rows(template: str, separator: str, *columns) -> str:
+    """``template % row`` for each row of the columns, joined by ``separator``.
+
+    The columns go through ``tolist``, so ``%r`` spells a float as Python's
+    repr, which is how ``json.dumps`` spells every finite float, and
+    ``%.17g`` gives the 17 significant digits that round-trip a double.
+    """
+    rows = zip(*(np.asarray(column).tolist() for column in columns))
+    return separator.join(map(template.__mod__, rows))
 
 
 # One list entry each, laid out as ``json.dumps(..., indent=1)`` does.
-_JSON_VERTEX = '  {{\n   "id": {},\n   "mu": {},\n   "kappa": {}\n  }}'
-_JSON_EDGE = '  {{\n   "i": {},\n   "j": {},\n   "c": {}\n  }}'
+_JSON_VERTEX = '  {\n   "id": %d,\n   "mu": %r,\n   "kappa": %r\n  }'
+_JSON_EDGE = '  {\n   "i": %d,\n   "j": %d,\n   "c": %r\n  }'
 
 
 def _json_list(name: str, template: str, *columns) -> str:
     if not len(columns[0]):
         return f' "{name}": []'
-    entries = ",\n".join(map(template.format, *columns))
+    entries = _rows(template, ",\n", *columns)
     return f' "{name}": [\n{entries}\n ]'
 
 
@@ -246,19 +252,14 @@ def write_graph_json(graph: WeightedGraph, path) -> None:
     for ``d = {"scale": float(scale), "vertices": [{"id", "mu", "kappa"}
     per vertex in id order], "edges": [{"i", "j", "c"} per exported edge]}``,
     the edges being those of the edge list, in the same order.  Floats are
-    spelled by repr, so every written value round-trips bit for bit.  The
-    text is assembled column-wise because ``json.dumps`` with ``indent``
-    runs a pure-Python encoder per value.
+    spelled by repr, so every written value round-trips bit for bit; a
+    graph holds only finite floats, so no NaN or Infinity is ever spelled.
+    The text is assembled from per-row ``%`` templates because
+    ``json.dumps`` with ``indent`` runs a pure-Python encoder per value.
     """
-    i, j, c = _edge_columns(graph)
-    vertices = _json_list(
-        "vertices",
-        _JSON_VERTEX,
-        range(graph.n_vertices),
-        _json_spelled(graph.vertex_weights),
-        _json_spelled(graph.killing),
-    )
-    edges = _json_list("edges", _JSON_EDGE, i.tolist(), j.tolist(), _json_spelled(c))
+    ids = np.arange(graph.n_vertices)
+    vertices = _json_list("vertices", _JSON_VERTEX, ids, graph.vertex_weights, graph.killing)
+    edges = _json_list("edges", _JSON_EDGE, *_edge_columns(graph))
     scale = json.dumps(float(graph.scale))
     Path(path).write_text(f'{{\n "scale": {scale},\n{vertices},\n{edges}\n}}\n')
 
@@ -395,23 +396,18 @@ def write_edge_list(graph: WeightedGraph, edges_path, vertices_path) -> None:
 
     The scale rides along as a comment header on both files so the pair
     reconstructs the graph exactly.  Byte contract: both files start with
-    ``f"# scale {scale:.17g}\\n"``; the edge file then has one
-    ``f"{i} {j} {c:.17g}\\n"`` row per exported edge, the same edges in the
-    same order as the JSON export, and the vertex file one
-    ``f"{i} {mu:.17g} {kappa:.17g}\\n"`` row per vertex in id order.  17
+    ``"# scale %.17g\\n" % scale``; the edge file then has one
+    ``"%d %d %.17g\\n" % (i, j, c)`` row per exported edge, the same edges in
+    the same order as the JSON export, and the vertex file one
+    ``"%d %.17g %.17g\\n" % (i, mu, kappa)`` row per vertex in id order.  17
     significant digits round-trip every finite double.
     """
-    header = f"# scale {graph.scale:.17g}\n"
-    i, j, c = _edge_columns(graph)
-    edge_rows = map("{} {} {:.17g}\n".format, i.tolist(), j.tolist(), c.tolist())
-    Path(edges_path).write_text(header + "".join(edge_rows))
-    vertex_rows = map(
-        "{} {:.17g} {:.17g}\n".format,
-        range(graph.n_vertices),
-        graph.vertex_weights.tolist(),
-        graph.killing.tolist(),
-    )
-    Path(vertices_path).write_text(header + "".join(vertex_rows))
+    header = "# scale %.17g\n" % graph.scale
+    edge_rows = _rows("%d %d %.17g\n", "", *_edge_columns(graph))
+    Path(edges_path).write_text(header + edge_rows)
+    ids = np.arange(graph.n_vertices)
+    vertex_rows = _rows("%d %.17g %.17g\n", "", ids, graph.vertex_weights, graph.killing)
+    Path(vertices_path).write_text(header + vertex_rows)
 
 
 def _read_table(path, kind: str, types) -> tuple[str | float, list[list]]:

@@ -29,6 +29,7 @@ TOL_ORTHO = 1e-8
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
+    """A read-only copy of values: neither its owner nor the caller's input can change it."""
     out = np.array(values, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
@@ -77,8 +78,7 @@ class AmbientSpace:
             idx = idx[np.diff(idx, prepend=idx[:1] - 1) != 0]
             if idx.size and (idx[0] < 0 or idx[-1] >= points.size):
                 raise ValueError("exhaustion indices out of range")
-            idx.setflags(write=False)
-            sets.append(idx)
+            sets.append(_frozen_array(idx, dtype=np.intp))
         if not sets:
             raise ValueError("exhaustion must have at least one set")
         for fine, coarse in zip(sets, sets[1:]):
@@ -296,18 +296,14 @@ class CellPartition:
 
     @cached_property
     def support(self) -> np.ndarray:
-        out = np.flatnonzero(self.cell_of >= 0)
-        out.setflags(write=False)
-        return out
+        return _frozen_array(np.flatnonzero(self.cell_of >= 0), dtype=np.intp)
 
     @cached_property
     def first_sites(self) -> np.ndarray:
         """(n_cells,) lowest site index of each cell."""
         on = self.support
         _, first = np.unique(self.cell_of[on], return_index=True)
-        out = on[first]
-        out.setflags(write=False)
-        return out
+        return _frozen_array(on[first], dtype=np.intp)
 
     @cached_property
     def tail_mask(self) -> np.ndarray:
@@ -463,22 +459,21 @@ class OrthonormalBasis:
     def n_vectors(self) -> int:
         return self.vectors.shape[0]
 
-    def coefficients(self, f: np.ndarray, m: int | None = None) -> np.ndarray:
-        """Inner products against the first m basis vectors; batched."""
-        m = self.n_vectors if m is None else m
+    def leading(self, m: int) -> np.ndarray:
+        """The first m basis vectors, for 1 <= m <= n_vectors."""
         if not 1 <= m <= self.n_vectors:
-            raise ValueError(f"m must be in 1..{self.n_vectors}, got {m}")
-        return self.space.coefficients(self.vectors[:m], f)
+            raise DimensionMismatch(f"m must be in 1..{self.n_vectors}, got {m}")
+        return self.vectors[:m]
+
+    def coefficients(self, f: np.ndarray, m: int | None = None) -> np.ndarray:
+        """Inner products against the first m basis vectors (all by default); batched."""
+        rows = self.vectors if m is None else self.leading(m)
+        return self.space.coefficients(rows, f)
 
     def synthesize(self, coefficients: np.ndarray) -> np.ndarray:
         """Linear combination of leading basis vectors; batched."""
         coefficients = np.asarray(coefficients, dtype=float)
-        m = coefficients.shape[-1]
-        if m > self.n_vectors:
-            raise DimensionMismatch(
-                f"{m} coefficients but only {self.n_vectors} basis vectors"
-            )
-        return coefficients @ self.vectors[:m]
+        return coefficients @ self.leading(coefficients.shape[-1])
 
     @classmethod
     def orthonormalized(

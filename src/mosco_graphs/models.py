@@ -31,6 +31,7 @@ from .measure import (
     AmbientSpace,
     OrthonormalBasis,
     TOL_ORTHO,
+    _frozen_array,
     exhaustion_slabs,
     uniform_interval_space,
 )
@@ -67,7 +68,7 @@ class SpectralModel:
     basis: OrthonormalBasis
 
     def __post_init__(self):
-        lam = np.array(self.eigenvalues, dtype=float, copy=True)
+        lam = np.asarray(self.eigenvalues, dtype=float)
         if lam.ndim != 1:
             raise ValueError("eigenvalues must be one-dimensional")
         if lam.size != self.basis.n_vectors:
@@ -81,8 +82,7 @@ class SpectralModel:
             raise ValueError("eigenvalues must be sorted ascending")
         if self.basis.space is not self.space:
             raise ValueError("basis must live on the model's space")
-        lam.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", lam)
+        object.__setattr__(self, "eigenvalues", _frozen_array(lam))
 
     @property
     def n_modes(self) -> int:
@@ -161,7 +161,7 @@ class MarkovKernelModel:
     kernel: np.ndarray
 
     def __post_init__(self):
-        P = np.array(self.kernel, dtype=float, copy=True)
+        P = _frozen_array(self.kernel)
         n = self.space.size
         if P.shape != (n, n):
             raise DimensionMismatch(f"kernel must be ({n}, {n}), got {P.shape}")
@@ -182,7 +182,6 @@ class MarkovKernelModel:
                 f"kernel is not symmetric for the weighted inner product "
                 f"(residual {asym:.3e})"
             )
-        P.setflags(write=False)
         object.__setattr__(self, "kernel", P)
 
     @property

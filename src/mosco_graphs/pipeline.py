@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch
-from .measure import AmbientSpace, CellPartition, OrthonormalBasis
+from .measure import AmbientSpace, CellPartition, OrthonormalBasis, _frozen_array
 from .models import SpectralModel
 
 # Ceiling for the largest eigenvalue of a stage generator: zero in exact
@@ -90,16 +90,13 @@ class StageIndex:
             raise ValueError(f"k must be in 0..{K_MAX}, got {self.k}")
 
     def validate_for(self, model: SpectralModel, basis: OrthonormalBasis) -> None:
+        """Refuse an m beyond the basis or an l beyond the exhaustion, by their owners' rules."""
         if basis.space is not model.space:
             raise ValueError("model and basis must share one ambient space")
-        if self.m is not None and self.m > basis.n_vectors:
-            raise DimensionMismatch(
-                f"m = {self.m} exceeds the {basis.n_vectors}-vector basis"
-            )
-        if self.l is not None and self.l > model.space.l_max:
-            raise ValueError(
-                f"l = {self.l} outside exhaustion range 1..{model.space.l_max}"
-            )
+        if self.m is not None:
+            basis.leading(self.m)
+        if self.l is not None:
+            model.space.exhaustion_set(self.l)
 
     @property
     def time(self) -> float:
@@ -147,10 +144,6 @@ def semigroup_form(model: SpectralModel, n, f: np.ndarray):
 
 def galerkin_projection(basis: OrthonormalBasis, m: int, f: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the first m basis vectors; batched."""
-    if not 1 <= m <= basis.n_vectors:
-        raise DimensionMismatch(
-            f"m must be in 1..{basis.n_vectors}, got {m}"
-        )
     return basis.synthesize(basis.coefficients(f, m))
 
 
@@ -165,11 +158,9 @@ def level_partition(basis: OrthonormalBasis, m: int, k: int) -> CellPartition:
     tuples instead of enumerating the combinatorial product.  Cells are
     ordered lexicographically by label, and zero-mass cells are dropped.
     """
-    if not 1 <= m <= basis.n_vectors:
-        raise DimensionMismatch(f"m must be in 1..{basis.n_vectors}, got {m}")
+    values = basis.leading(m)
     if not 0 <= k <= K_MAX:
         raise ValueError(f"k must be in 0..{K_MAX}, got {k}")
-    values = basis.vectors[:m]
     window = 2.0**k
     labels = np.ceil(values * window).astype(np.int64) - 1
     labels = np.where(values <= -window, -(4**k) - 1, labels)
@@ -207,8 +198,8 @@ class StageForm:
     space: AmbientSpace
 
     def __post_init__(self):
-        matrix = np.array(self.matrix, dtype=float, copy=True)
-        subspace = np.array(self.subspace, dtype=float, copy=True)
+        matrix = _frozen_array(self.matrix)
+        subspace = _frozen_array(self.subspace)
         p = subspace.shape[0]
         if matrix.shape != (p, p):
             raise DimensionMismatch(
@@ -223,8 +214,6 @@ class StageForm:
                 f"generator has positive eigenvalue {top:.3e}; "
                 "stage operators must be negative semidefinite"
             )
-        matrix.setflags(write=False)
-        subspace.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "subspace", subspace)
 
@@ -265,7 +254,7 @@ class Stage:
             subspace = model.basis.vectors
             images = subspace
         else:
-            subspace = basis.vectors[: index.m]
+            subspace = basis.leading(index.m)
             images = subspace
             if index.l is not None:
                 images = images * space.exhaustion_mask(index.l)

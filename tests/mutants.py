@@ -112,15 +112,28 @@ MUTANTS = [
     ),
     Mutant(
         "validate-for-l-rule", "src/mosco_graphs/pipeline.py",
-        "if self.l is not None and self.l > model.space.l_max:",
-        "if self.l is not None and self.l > model.space.l_max + 1:",
+        "model.space.exhaustion_set(self.l)",
+        "model.space.exhaustion_set(min(self.l, model.space.l_max))",
         "an l beyond the exhaustion depth must be refused at startup",
+    ),
+    Mutant(
+        "leading-range-unchecked", "src/mosco_graphs/measure.py",
+        "if not 1 <= m <= self.n_vectors:",
+        "if False:",
+        "an m outside the basis must fail as DimensionMismatch on every path, "
+        "not slice fewer vectors",
+    ),
+    Mutant(
+        "frozen-array-writable", "src/mosco_graphs/measure.py",
+        "    out.setflags(write=False)\n",
+        "",
+        "every frozen type stores a read-only copy",
     ),
     # -- resolvents ----------------------------------------------------------
     Mutant(
         "residual-check-dropped", "src/mosco_graphs/convergence.py",
-        "    _check_residual(stage, lam, u, c, f)\n    return u",
-        "    return u",
+        "    _check_residual(stage, lam, u, c, f)\n",
+        "",
         "an inaccurate subspace solve must be refused, not written",
     ),
     Mutant(
@@ -131,15 +144,9 @@ MUTANTS = [
     ),
     Mutant(
         "complement-scale", "src/mosco_graphs/convergence.py",
-        "return _solve(stage, lam, c, f) @ stage.subspace + complement / lam",
-        "return _solve(stage, lam, c, f) @ stage.subspace + complement",
-        "the stage resolvent acts as 1/lambda off its subspace",
-    ),
-    Mutant(
-        "sweep-complement-scale", "src/mosco_graphs/convergence.py",
-        "errors = model.space.norm(u @ stage.subspace + complement / lam - exact)",
-        "errors = model.space.norm(u @ stage.subspace + complement - exact)",
-        "the sweep's resolvent acts as 1/lambda off the stage subspace",
+        "return u @ stage.subspace + complement / lam",
+        "return u @ stage.subspace + complement",
+        "the stage resolvent, in the sweep and alone, acts as 1/lambda off its subspace",
     ),
     # -- graphs --------------------------------------------------------------
     Mutant(
@@ -147,6 +154,18 @@ MUTANTS = [
         "keep = c > EDGE_EPS",
         "keep = c > 0",
         "conductances at or below EDGE_EPS are not exported",
+    ),
+    Mutant(
+        "empty-graph-accepted", "src/mosco_graphs/graphs.py",
+        "if mu.size == 0:",
+        "if False:",
+        "a graph with no vertices is refused by name, in the constructor and both readers",
+    ),
+    Mutant(
+        "json-edge-16-digits", "src/mosco_graphs/graphs.py",
+        '"c": %r',
+        '"c": %.16g',
+        "the JSON export spells each conductance by repr, so it round-trips bit for bit",
     ),
     Mutant(
         "killing-slack", "src/mosco_graphs/graphs.py",

@@ -581,20 +581,20 @@ class TestExportCommand:
         exports = [[4, 8, 9, 2]]
         cases = [
             ("export-graph", {"graph_exports": [[4, 32, 4, 2]]},
-             "graph_exports: n4_m32_l4_k2: m = 32 exceeds the 16-vector basis"),
+             "graph_exports: n4_m32_l4_k2: m must be in 1..16, got 32"),
             ("export-graph", {"graph_exports": exports},
-             "graph_exports: n4_m8_l9_k2: l = 9 outside exhaustion range 1..4"),
+             "graph_exports: n4_m8_l9_k2: l must be in 1..4, got 9"),
             ("run", {"graph_exports": exports},
-             "graph_exports: n4_m8_l9_k2: l = 9 outside exhaustion range 1..4"),
+             "graph_exports: n4_m8_l9_k2: l must be in 1..4, got 9"),
             ("run", {"grid": {"n": [2], "m": [4], "l": [1, 5]}},
-             "grid: n2_m4_l5: l = 5 outside exhaustion range 1..4"),
+             "grid: n2_m4_l5: l must be in 1..4, got 5"),
             # A table with fewer modes than ``modes`` is refused at startup,
             # not when the sweep first reaches the too-large m.
             ("run", {"model": str(table), "grid": {"n": [2], "m": [2, 8]}},
-             "grid: n2_m8: m = 8 exceeds the 4-vector basis"),
+             "grid: n2_m8: m must be in 1..4, got 8"),
             # The loader leaves m against the basis to this check.
             ("run", {"modes": 8, "grid": {"n": [2], "m": [16]}},
-             "grid: n2_m16: m = 16 exceeds the 8-vector basis"),
+             "grid: n2_m16: m must be in 1..8, got 16"),
         ]
         path = tmp_path / "config.json"
         for command, fields, needle in cases:

@@ -117,6 +117,12 @@ def near_constant_case():
 
 
 class TestGraphValidation:
+    def test_empty_graph_is_refused_by_name(self):
+        # It used to fail inside numpy: "zero-size array to reduction
+        # operation maximum which has no identity".
+        with pytest.raises(ValueError, match="^vertex_weights: a graph needs at least one vertex$"):
+            WeightedGraph([], np.zeros((0, 0)), [])
+
     def test_rejects_malformed_data(self):
         mu = np.array([1.0, 2.0])
         c = np.array([[0.0, 0.3], [0.3, 0.0]])
@@ -662,6 +668,8 @@ class TestReaderValidation:
             data["edges"].append({"i": 0, "j": 1, "c": 0.5})
         elif case == "reversed-pair":
             data["edges"].append({"i": 1, "j": 0, "c": 0.5})
+        elif case == "no-vertices":
+            data["vertices"], data["edges"] = [], []
         return data
 
     CASES = [
@@ -679,6 +687,8 @@ class TestReaderValidation:
         ("boolean-scale", "scale: .*True.* is not a number"),
         ("repeated-pair", r"edge i/j: pair \(0, 1\) listed twice"),
         ("reversed-pair", r"edge i/j: pair \(0, 1\) listed twice"),
+        # In the text reader, both files hold only their headers.
+        ("no-vertices", "vertex_weights: a graph needs at least one vertex"),
     ]
 
     def test_good_tables_read_the_same_both_ways(self, tmp_path):

@@ -10,9 +10,15 @@ from mosco_graphs import (
     AmbientSpace,
     CellPartition,
     DimensionMismatch,
+    MarkovKernelModel,
     OrthonormalBasis,
     PartitionError,
+    SpectralModel,
+    StageForm,
+    StageIndex,
     StepFunction,
+    TestVector,
+    WeightedGraph,
     condition_on_partition,
     uniform_interval_space,
 )
@@ -513,3 +519,67 @@ class TestOrthonormalBasis:
         assert np.ptp(basis.vectors[0]) == pytest.approx(0.0, abs=1e-14)
         for row in basis.vectors[1:]:
             assert space.inner(row, space.constant()) == pytest.approx(0.0, abs=1e-12)
+
+
+def _frozen_cases():
+    """(name, build) pairs: build returns the object and, per stored array,
+    the array the caller passed in.  Each array is fresh and writable."""
+    space = uniform_interval_space(4)
+    eye = np.eye(4) * 2.0  # orthonormal rows for weights 1/4
+
+    def ambient():
+        points, weights, sets = np.arange(4.0), np.full(4, 0.25), (np.arange(2), np.arange(4))
+        obj = AmbientSpace(points, weights, sets)
+        return [(obj.points, points), (obj.weights, weights)] + list(zip(obj.exhaustion, sets))
+
+    def partition():
+        cell_of, masses, labels = np.array([0, 0, 1, -1]), np.array([0.5, 0.25]), np.eye(2, dtype=int)
+        obj = CellPartition(cell_of, masses, labels)
+        return [(obj.cell_of, cell_of), (obj.masses, masses), (obj.labels, labels)]
+
+    def step():
+        coefficients = np.array([1.0, 2.0])
+        obj = StepFunction(CellPartition(np.array([0, 0, 1, 1]), np.array([0.5, 0.5])), coefficients)
+        return [(obj.coefficients, coefficients)]
+
+    def basis():
+        vectors = eye[:2].copy()
+        return [(OrthonormalBasis(space, vectors).vectors, vectors)]
+
+    def spectral():
+        eigenvalues = np.array([0.0, 1.0])
+        obj = SpectralModel("two", space, eigenvalues, OrthonormalBasis(space, eye[:2]))
+        return [(obj.eigenvalues, eigenvalues)]
+
+    def kernel():
+        P = np.full((4, 4), 0.25)
+        return [(MarkovKernelModel("flat", space, P).kernel, P)]
+
+    def stage_form():
+        matrix, subspace = -np.eye(2), eye[:2].copy()
+        obj = StageForm(StageIndex(1), matrix, subspace, space)
+        return [(obj.matrix, matrix), (obj.subspace, subspace)]
+
+    def test_vector():
+        values = np.array([1.0, 0.0, 2.0])
+        return [(TestVector("v", values).values, values)]
+
+    def graph():
+        mu, c, kappa = np.ones(2), np.array([[0.0, 0.5], [0.5, 0.0]]), np.full(2, 0.5)
+        obj = WeightedGraph(mu, c, kappa)
+        return [(obj.vertex_weights, mu), (obj.conductances, c), (obj.killing, kappa)]
+
+    builders = [ambient, partition, step, basis, spectral, kernel, stage_form, test_vector, graph]
+    return [pytest.param(build, id=build.__name__) for build in builders]
+
+
+class TestFrozenArrays:
+    @pytest.mark.parametrize("build", _frozen_cases())
+    def test_every_type_stores_a_read_only_copy(self, build):
+        for stored, given in build():
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                stored[...] = 0
+            before = stored.copy()
+            given += 1
+            assert np.array_equal(stored, before)

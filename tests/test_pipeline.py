@@ -63,9 +63,9 @@ class TestStageIndex:
 
     def test_validation_against_model(self):
         model = neumann_model(128, 8)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch, match=r"m must be in 1\.\.8, got 9"):
             StageIndex(2, 9).validate_for(model, model.basis)
-        with pytest.raises(ValueError, match="exhaustion"):
+        with pytest.raises(ValueError, match=r"l must be in 1\.\.4, got 7"):
             StageIndex(2, 4, 7).validate_for(model, model.basis)
         # Stage and final_stage_graph both go through validate_for.
         foreign = neumann_model(128, 8).basis
@@ -73,6 +73,27 @@ class TestStageIndex:
             Stage(model, foreign, StageIndex(2, 4))
         with pytest.raises(ValueError, match="share one ambient space"):
             final_stage_graph(model, foreign, StageIndex(2, 4, 2, 2))
+
+
+class TestOneMRange:
+    """Every path that takes the first m basis vectors states one rule."""
+
+    @pytest.mark.parametrize("m", [0, 9])
+    def test_a_bad_m_fails_alike_on_every_path(self, m):
+        model = neumann_model(128, 8)
+        basis, f = model.basis, np.ones(128)
+        paths = [
+            lambda: basis.coefficients(f, m),
+            lambda: galerkin_projection(basis, m, f),
+            lambda: level_partition(basis, m, 2),
+        ]
+        if m > 0:  # StageIndex refuses m = 0 itself
+            paths.append(lambda: StageIndex(2, m).validate_for(model, basis))
+        for path in paths:
+            with pytest.raises(DimensionMismatch) as caught:
+                path()
+            assert type(caught.value) is DimensionMismatch
+            assert str(caught.value) == f"m must be in 1..8, got {m}"
 
 
 class TestSemigroupForm:
