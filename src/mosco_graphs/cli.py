@@ -22,14 +22,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .audits import AUDIT_MODES, audit_suite
-from .config import ExperimentConfig, default_config, load_config
+from .config import ExperimentConfig, _stage_index, default_config, load_config
 from .convergence import MOSCO_PROXY_NOTE, default_test_battery, iterated_limit_sweep
 from .errors import ConfigError, SolverError
 from .graphs import final_stage_graph, write_edge_list, write_graph_json
@@ -47,7 +47,9 @@ EXIT_AUDIT_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 
 # ``wall_ms`` is always 0; the column stays so the CSV layout does not change.
+# A disabled index leaves its column blank.
 CSV_HEADER = "n,m,l,k,lambda,test_vector,resolvent_error,form_value,exact_form,wall_ms"
+CSV_ROW = "%s,%s,%s,%s,%.17g,%s,%.17g,%.17g,%.17g,0\n"
 
 
 def _load(args, audited: bool = True) -> ExperimentConfig:
@@ -117,62 +119,24 @@ def _build_basis(config: ExperimentConfig, model: SpectralModel) -> OrthonormalB
 
 def _battery(config: ExperimentConfig, model: SpectralModel, basis: OrthonormalBasis):
     rng = np.random.default_rng(config.seed)
-    spec = config.test_vectors
-    battery = default_test_battery(
-        model,
-        basis,
-        rng,
-        n_basis=spec.n_basis,
-        n_span=spec.n_span,
-        n_step=spec.n_step,
-        include_constant=spec.include_constant,
-    )
+    battery = default_test_battery(model, basis, rng, **asdict(config.test_vectors))
     if not battery:
         raise ConfigError("test_vectors: the battery is empty; ask for at least one vector")
     return battery
 
 
-def _format(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _csv_rows(records) -> list[str]:
-    def key(r):
-        ix = r.index
-        return (
-            ix.n,
-            -1 if ix.m is None else ix.m,
-            -1 if ix.l is None else ix.l,
-            -1 if ix.k is None else ix.k,
-            r.lam,
-            r.vector_name,
-        )
-
-    rows = []
-    for r in sorted(records, key=key):
-        ix = r.index
-        rows.append(
-            ",".join(
-                [
-                    str(ix.n),
-                    "" if ix.m is None else str(ix.m),
-                    "" if ix.l is None else str(ix.l),
-                    "" if ix.k is None else str(ix.k),
-                    _format(r.lam),
-                    r.vector_name,
-                    _format(r.resolvent_error),
-                    _format(r.form_value),
-                    _format(r.exact_form),
-                    "0",
-                ]
-            )
-        )
-    return rows
-
-
 def _write_csv(records, path: Path) -> None:
-    lines = [CSV_HEADER] + _csv_rows(records)
-    _write(lambda temp: temp.write_text("\n".join(lines) + "\n"), path)
+    """The header, then one row per record, sorted by stage, lambda and vector."""
+    rows = sorted(
+        (
+            r.index.n,
+            *("" if i is None else i for i in (r.index.m, r.index.l, r.index.k)),
+            r.lam, r.vector_name, r.resolvent_error, r.form_value, r.exact_form,
+        )
+        for r in records
+    )
+    text = CSV_HEADER + "\n" + "".join(CSV_ROW % row for row in rows)
+    _write(lambda temp: temp.write_text(text), path)
 
 
 def _graph_names(ix: StageIndex, edge_lists: bool) -> list[str]:
@@ -289,12 +253,7 @@ def cmd_export_graph(args) -> int:
             parts = [int(p) for p in args.index.split(",")]
         except ValueError:
             raise ConfigError(f"--index: expected n,m,l,k integers, got {args.index!r}")
-        if len(parts) != 4:
-            raise ConfigError("--index: expected exactly four values n,m,l,k")
-        try:
-            config = replace(config, graph_exports=(StageIndex(*parts),))
-        except ValueError as exc:
-            raise ConfigError(f"--index: {exc}")
+        config = replace(config, graph_exports=(_stage_index(parts, "--index"),))
     model = _build_model(config)
     basis = _build_basis(config, model)
     _check_indices("graph_exports", config.graph_exports, model, basis)

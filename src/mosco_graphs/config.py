@@ -10,11 +10,10 @@ read from a file.  Every complaint names the offending field by its path
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .convergence import SweepGrid
+from .convergence import SweepGrid, _check_lambdas
 from .errors import ConfigError
 from .pipeline import StageIndex, is_integer
 
@@ -108,17 +107,12 @@ class ExperimentConfig:
             object.__setattr__(self, f"grid_{name}", getattr(grid, name))
         object.__setattr__(self, "lambdas", tuple(self.lambdas))
         object.__setattr__(self, "graph_exports", tuple(self.graph_exports))
-        if not self.lambdas:
-            raise ConfigError("lambdas: expected at least one resolvent parameter")
         for i, lam in enumerate(self.lambdas):
             _check_type(lam, "a number", f"lambdas[{i}]")
-            # json reads NaN and Infinity; NaN fails every comparison.
-            if not abs(lam) <= sys.float_info.max:
-                raise ConfigError(f"lambdas[{i}]: resolvent parameter must be a finite float")
-            if lam <= 0:
-                raise ConfigError(f"lambdas[{i}]: resolvent parameter must be positive")
-            if lam in self.lambdas[:i]:
-                raise ConfigError(f"lambdas[{i}]: {lam!r} repeats an earlier resolvent parameter")
+        try:
+            _check_lambdas(self.lambdas)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         for i, ix in enumerate(self.graph_exports):
             if not isinstance(ix, StageIndex) or ix.k is None:
                 raise ConfigError(f"graph_exports[{i}]: {ix} is not a full (n, m, l, k) index")

@@ -16,6 +16,7 @@ and are therefore blind to mass outside the spectral span (it cancels).
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,8 +49,10 @@ class TestVector:
         object.__setattr__(self, "values", values)
 
 
-def _check_unique_names(vectors: Sequence[TestVector]) -> None:
-    """Refuse a repeated name: results are keyed and sorted by name."""
+def _check_battery(vectors: Sequence[TestVector]) -> None:
+    """Refuse no vectors, and a repeated name: results are keyed and sorted by name."""
+    if not vectors:
+        raise ValueError("battery: expected at least one test vector")
     seen = set()
     for vec in vectors:
         if vec.name in seen:
@@ -67,9 +70,7 @@ class ResolventProbe:
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lambda must be finite and positive, got {self.lam}")
-        if not self.test_vectors:
-            raise ValueError("probe needs at least one test vector")
-        _check_unique_names(self.test_vectors)
+        _check_battery(self.test_vectors)
         object.__setattr__(self, "test_vectors", tuple(self.test_vectors))
 
 
@@ -188,6 +189,20 @@ class ConvergenceRecord:
     exact_form: float
 
 
+def _check_lambdas(lambdas: Sequence[float]) -> None:
+    """Refuse no lambda, and one not finite and positive or repeating an earlier one."""
+    if not lambdas:
+        raise ValueError("lambdas: expected at least one resolvent parameter")
+    for i, lam in enumerate(lambdas):
+        # json reads NaN and Infinity; NaN fails every comparison.
+        if not abs(lam) <= sys.float_info.max:
+            raise ValueError(f"lambdas[{i}]: resolvent parameter must be a finite float")
+        if lam <= 0:
+            raise ValueError(f"lambdas[{i}]: resolvent parameter must be positive")
+        if lam in lambdas[:i]:
+            raise ValueError(f"lambdas[{i}]: {lam!r} repeats an earlier resolvent parameter")
+
+
 def iterated_limit_sweep(
     model: SpectralModel,
     basis: OrthonormalBasis,
@@ -202,10 +217,12 @@ def iterated_limit_sweep(
     The stage projection does not depend on n, so it is built once per
     (m, l, k), with the battery's split on its subspace and the forms of
     every n of the group; each n then costs ``Stage.at`` and one guarded
-    solve per lambda.  A stage that fails a guard raises its error with
-    the stage label in front of the message.
+    solve per lambda.  The lambdas and the battery are checked first; a
+    stage that fails a guard raises its error with the stage label in front
+    of the message.
     """
-    _check_unique_names(battery)
+    _check_lambdas(lambdas)
+    _check_battery(battery)
     stack = np.stack([vec.values for vec in battery])
     exacts = np.atleast_1d(model.exact_form(stack))
     exact_resolvents = [(lam, model.exact_resolvent(lam, stack)) for lam in lambdas]

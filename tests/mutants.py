@@ -205,10 +205,22 @@ MUTANTS = [
         "an empty axis is a sweep of no records",
     ),
     Mutant(
-        "lambdas-not-distinct", "src/mosco_graphs/config.py",
-        "if lam in self.lambdas[:i]:",
+        "lambdas-not-distinct", "src/mosco_graphs/convergence.py",
+        "if lam in lambdas[:i]:",
         "if False:",
         "a repeated lambda writes every CSV row twice",
+    ),
+    Mutant(
+        "sweep-lambdas-unchecked", "src/mosco_graphs/convergence.py",
+        "    _check_lambdas(lambdas)\n",
+        "",
+        "a sweep refuses no lambda and a repeated one on entry, not only through a config",
+    ),
+    Mutant(
+        "sweep-battery-empty", "src/mosco_graphs/convergence.py",
+        '    if not vectors:\n        raise ValueError("battery: expected at least one test vector")\n',
+        "",
+        "an empty battery is refused by name, not inside numpy",
     ),
     Mutant(
         "exports-not-distinct", "src/mosco_graphs/config.py",
@@ -282,7 +294,26 @@ MUTANTS = [
         "return isinstance(value, (int, np.integer))",
         "true and false are not indices, counts or seeds",
     ),
+    Mutant(
+        "index-quadruple-bypassed", "src/mosco_graphs/cli.py",
+        '_stage_index(parts, "--index")',
+        "StageIndex(*parts)",
+        "--index obeys the loader's quadruple rule, and its misfits name --index",
+    ),
     # -- artifacts -----------------------------------------------------------
+    Mutant(
+        "csv-16-digits", "src/mosco_graphs/cli.py",
+        '"%s,%s,%s,%s,%.17g,%s,%.17g,',
+        '"%s,%s,%s,%s,%.17g,%s,%.16g,',
+        "convergence.csv spells every float with 17 significant digits, so it round-trips",
+    ),
+    Mutant(
+        "csv-rows-unsorted", "src/mosco_graphs/cli.py",
+        "    rows = sorted(\n",
+        "    rows = list(\n",
+        "convergence.csv lists its rows by stage, lambda and vector name, whatever the "
+        "order of the grid, the lambdas and the battery",
+    ),
     Mutant(
         "artifact-preflight-dropped", "src/mosco_graphs/cli.py",
         "if (out / name).exists() and not (out / name).is_file():",

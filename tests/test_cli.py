@@ -224,6 +224,25 @@ class TestConfigValidation:
         assert {tuple(row.split(",")[1:4]) for row in rows} == {("", "", "")}
         assert {row.split(",")[0] for row in rows} == {"2", "4"}
 
+    def test_rows_are_sorted_by_stage_then_ascending_lambda(self, tmp_path):
+        # Lambdas listed in descending order on an (n, m) grid: l and k stay
+        # blank, and the rows come out by n, m, lambda and vector name.
+        data = {"schema": 1, "model": "ring", "resolution": 256, "modes": 16,
+                "grid": {"n": [2, 4], "m": [4, 8]}, "lambdas": [2.0, 0.5],
+                "graph_exports": [], "out_dir": str(tmp_path / "out")}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_OK
+        rows = [
+            row.split(",")
+            for row in (tmp_path / "out" / "convergence.csv").read_text().splitlines()[1:]
+        ]
+        assert len(rows) == 4 * 2 * 15
+        assert {(row[2], row[3]) for row in rows} == {("", "")}
+        keys = [(int(row[0]), int(row[1]), float(row[4]), row[5]) for row in rows]
+        assert keys == sorted(keys)
+        assert [row[4] for row in rows[:30]] == ["0.5"] * 15 + ["2"] * 15
+
     @pytest.mark.parametrize(
         "lambdas, needle",
         [
@@ -539,7 +558,7 @@ class TestExportCommand:
                 ]
             )
             assert code == 2
-            assert "config error" in capsys.readouterr().err
+            assert capsys.readouterr().err.startswith("config error: --index: ")
 
     @pytest.mark.parametrize(
         "grid, needle",

@@ -342,6 +342,31 @@ class TestSweep:
         with pytest.raises(ValueError, match="name 'a' is repeated"):
             ResolventProbe(1.0, twins)
 
+    @pytest.mark.parametrize(
+        "lambdas, needle",
+        [
+            ((), "^lambdas: expected at least one resolvent parameter$"),
+            ((1.0, 1.0), r"^lambdas\[1\]: 1.0 repeats an earlier resolvent parameter$"),
+            ((1.0, np.nan), r"^lambdas\[1\]: resolvent parameter must be a finite float$"),
+            ((-1.0,), r"^lambdas\[0\]: resolvent parameter must be positive$"),
+        ],
+        ids=["none", "repeated", "nan", "negative"],
+    )
+    def test_bad_lambdas_are_refused_on_entry(self, lambdas, needle):
+        # No lambda used to give a sweep of no records, and a repeated one
+        # every record twice; the config states the same rule through this one.
+        model, battery, grid = self.make_inputs()
+        with pytest.raises(ValueError, match=needle):
+            iterated_limit_sweep(model, model.basis, grid, battery, lambdas=lambdas)
+
+    def test_empty_battery_is_refused_by_name(self):
+        # It used to fail inside numpy, naming no argument.
+        model, _, grid = self.make_inputs()
+        with pytest.raises(ValueError, match="^battery: expected at least one test vector$"):
+            iterated_limit_sweep(model, model.basis, grid, [])
+        with pytest.raises(ValueError, match="^battery: expected at least one test vector$"):
+            ResolventProbe(1.0, ())
+
     @pytest.mark.parametrize("error", [1e-6, np.nan])
     def test_inaccurate_solve_is_refused(self, monkeypatch, error):
         # The residual guard checks every vector of a batched solve: one
