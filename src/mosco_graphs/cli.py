@@ -96,11 +96,17 @@ def _write(write, *paths: Path) -> None:
                 temp.unlink()
 
 
+def _too_large(config: ExperimentConfig) -> ConfigError:
+    return ConfigError(f"resolution: {config.resolution} sites do not fit in memory")
+
+
 def _build_model(config: ExperimentConfig) -> SpectralModel:
     try:
         return get_model(config.model, config.resolution, config.modes)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"model: {exc}") from None
+    except MemoryError:
+        raise _too_large(config) from None
 
 
 def _check_indices(field: str, indices, model: SpectralModel, basis: OrthonormalBasis) -> None:
@@ -119,7 +125,10 @@ def _build_basis(config: ExperimentConfig, model: SpectralModel) -> OrthonormalB
 
 def _battery(config: ExperimentConfig, model: SpectralModel, basis: OrthonormalBasis):
     rng = np.random.default_rng(config.seed)
-    battery = default_test_battery(model, basis, rng, **asdict(config.test_vectors))
+    try:
+        battery = default_test_battery(model, basis, rng, **asdict(config.test_vectors))
+    except ValueError as exc:
+        raise ConfigError(f"test_vectors: {exc}") from None
     if not battery:
         raise ConfigError("test_vectors: the battery is empty; ask for at least one vector")
     return battery
@@ -165,7 +174,10 @@ def _export_graphs(config: ExperimentConfig, model, basis, out: Path, edge_lists
 
 
 def _run_audits(config: ExperimentConfig, inject_asymmetry: bool = False):
-    zoo = builtin_models(config.resolution, config.modes, seed=config.seed)
+    try:
+        zoo = builtin_models(config.resolution, config.modes, seed=config.seed)
+    except MemoryError:
+        raise _too_large(config) from None
     spectral = [m for m in zoo if isinstance(m, SpectralModel)]
     kernels = [m for m in zoo if isinstance(m, MarkovKernelModel)]
     rng = np.random.default_rng(config.seed)
@@ -183,16 +195,7 @@ def _audits_json(results) -> str:
         "schema": 1,
         "all_passed": all(r.passed for r in results),
         "proxy_note": MOSCO_PROXY_NOTE,
-        "audits": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "residual": r.residual,
-                "tolerance": r.tolerance,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
+        "audits": [asdict(r) for r in results],
     }
     return json.dumps(payload, indent=1) + "\n"
 

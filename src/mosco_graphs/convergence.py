@@ -16,7 +16,6 @@ and are therefore blind to mass outside the spectral span (it cancels).
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,7 +26,7 @@ import scipy
 
 from .errors import SolverError
 from .measure import CellPartition, OrthonormalBasis, _frozen_array
-from .models import SpectralModel
+from .models import SpectralModel, _check_lambda
 from .pipeline import Stage, StageForm, StageIndex, is_integer, semigroup_form
 
 # Residual guard for the resolvent solves, relative to ||f||.
@@ -68,8 +67,7 @@ class ResolventProbe:
     test_vectors: tuple[TestVector, ...]
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lambda must be finite and positive, got {self.lam}")
+        _check_lambda(self.lam)
         _check_battery(self.test_vectors)
         object.__setattr__(self, "test_vectors", tuple(self.test_vectors))
 
@@ -97,12 +95,10 @@ def _resolve(
     """(lambda - L_stage)^{-1} f from f's split on the stage subspace.
 
     ``c`` holds the coefficients of f on the subspace, one row per vector,
-    and ``complement`` the rest of f.  One SPD solve takes every row as a
-    right-hand side, and the residual must stay under RESIDUAL_TOL
-    relative to ||f|| for each; the complement is scaled by 1/lambda.
+    and ``complement`` the rest of f; the callers have checked lambda.  One
+    SPD solve takes every row as a right-hand side, the residual must stay
+    under RESIDUAL_TOL * ||f|| for each, and the complement is scaled by 1/lambda.
     """
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValueError(f"lambda must be finite and positive, got {lam}")
     matrix = lam * np.eye(stage.dim) - stage.matrix
     rhs = c.reshape(-1, stage.dim).T
     u = scipy.linalg.solve(matrix, rhs, assume_a="pos").T.reshape(c.shape)
@@ -116,6 +112,7 @@ def stage_resolvent(stage: StageForm, lam: float, f: np.ndarray) -> np.ndarray:
     Batched over leading axes of f: the guarded solve acts on the
     subspace coefficients, and f_perp / lambda is added.
     """
+    _check_lambda(lam)
     c, complement = stage.space.split(stage.subspace, f)
     return _resolve(stage, lam, c, complement, f)
 
@@ -172,9 +169,13 @@ class SweepGrid:
         for end in (0, -1):
             StageIndex(*(None if axis is None else axis[end] for axis in axes))
 
+    def projections(self) -> list[tuple[int, ...]]:
+        """The (m, l, k) points of the enabled axes, k fastest; one () for an n-only grid."""
+        axes = [axis for axis in (self.m, self.l, self.k) if axis is not None]
+        return list(itertools.product(*axes))
+
     def indices(self) -> list[StageIndex]:
-        axes = [axis for axis in (self.n, self.m, self.l, self.k) if axis is not None]
-        return [StageIndex(*point) for point in itertools.product(*axes)]
+        return [StageIndex(n, *p) for n in self.n for p in self.projections()]
 
 
 @dataclass(frozen=True)
@@ -194,11 +195,7 @@ def _check_lambdas(lambdas: Sequence[float]) -> None:
     if not lambdas:
         raise ValueError("lambdas: expected at least one resolvent parameter")
     for i, lam in enumerate(lambdas):
-        # json reads NaN and Infinity; NaN fails every comparison.
-        if not abs(lam) <= sys.float_info.max:
-            raise ValueError(f"lambdas[{i}]: resolvent parameter must be a finite float")
-        if lam <= 0:
-            raise ValueError(f"lambdas[{i}]: resolvent parameter must be positive")
+        _check_lambda(lam, f"lambdas[{i}]")
         if lam in lambdas[:i]:
             raise ValueError(f"lambdas[{i}]: {lam!r} repeats an earlier resolvent parameter")
 
@@ -214,40 +211,37 @@ def iterated_limit_sweep(
 
     The model side does not depend on the stage, so the exact form and
     the exact resolvent of each lambda are computed once for the sweep.
-    The stage projection does not depend on n, so it is built once per
-    (m, l, k), with the battery's split on its subspace and the forms of
-    every n of the group; each n then costs ``Stage.at`` and one guarded
-    solve per lambda.  The lambdas and the battery are checked first; a
-    stage that fails a guard raises its error with the stage label in front
-    of the message.
+    The stage projection does not depend on n, so the sweep walks
+    ``schedule.projections()`` and builds each once, with the battery's
+    split on its subspace and the forms of every n; each n then costs
+    ``Stage.at`` and one guarded solve per lambda.  The lambdas and the
+    battery are checked first; a stage that fails a guard raises its error
+    with the stage label in front of the message.
     """
     _check_lambdas(lambdas)
     _check_battery(battery)
     stack = np.stack([vec.values for vec in battery])
     exacts = np.atleast_1d(model.exact_form(stack))
     exact_resolvents = [(lam, model.exact_resolvent(lam, stack)) for lam in lambdas]
-    indices = schedule.indices()
-    groups: dict[tuple, list[int]] = {}
-    for position, ix in enumerate(indices):
-        groups.setdefault((ix.m, ix.l, ix.k), []).append(position)
-    by_position: list[list[ConvergenceRecord]] = [[] for _ in indices]
-    for positions in groups.values():
-        # Dropping the previous group first keeps one projection alive.
+    levels = np.array(schedule.n)[:, None]
+    records: dict[StageIndex, list[ConvergenceRecord]] = {}
+    for projection in schedule.projections():
+        # Dropping the previous projection first keeps one alive.
         stage = None
-        levels = np.array([indices[position].n for position in positions])
-        for row, position in enumerate(positions):
-            ix = indices[position]
+        for row, n in enumerate(schedule.n):
+            ix = StageIndex(n, *projection)
             try:
                 if stage is None:
                     stage = Stage(model, basis, ix)
                     c, complement = model.space.split(stage.subspace, stack)
-                    forms = semigroup_form(model, levels[:, None], stage.project(stack))
+                    forms = semigroup_form(model, levels, stage.project(stack))
                 else:
-                    stage = stage.at(ix.n)
+                    stage = stage.at(n)
+                records[ix] = []
                 for lam, exact in exact_resolvents:
                     approx = _resolve(stage.form_data, lam, c, complement, stack)
                     errors = model.space.norm(approx - exact)
-                    by_position[position] += [
+                    records[ix] += [
                         ConvergenceRecord(
                             ix, float(lam), vec.name, float(e), float(form), float(x)
                         )
@@ -255,7 +249,7 @@ def iterated_limit_sweep(
                     ]
             except (ValueError, SolverError) as exc:
                 raise type(exc)(f"{ix.label()}: {exc}") from exc
-    return [record for records in by_position for record in records]
+    return [record for ix in schedule.indices() for record in records[ix]]
 
 
 def eventually_nonincreasing(values: Sequence[float]) -> tuple[bool, int | None]:
@@ -314,9 +308,12 @@ def default_test_battery(
     coefficients; random step functions over blocks of the site range.
     The random constructions depend only on the rng stream and relative
     site positions, so batteries on coarser or finer grids of the same
-    model agree as functions.
+    model agree as functions.  More span and step probes than the space
+    has sites are refused before any is drawn: they cannot be independent.
     """
     space = model.space
+    if n_span + n_step > space.size:
+        raise ValueError(f"span + step = {n_span + n_step} exceeds the {space.size} sites")
     vectors: list[TestVector] = []
     top = min(n_basis, basis.n_vectors - 1)
     for j in range(1, top + 1):

@@ -100,14 +100,17 @@ class AmbientSpace:
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
+    def check_site_axis(self, *arrays: np.ndarray) -> None:
+        """Refuse an array whose last axis is not one value per site."""
+        shapes = [np.shape(a) for a in arrays]
+        if any(shape[-1:] != (self.size,) for shape in shapes):
+            raise DimensionMismatch(f"expected last axis {self.size}, got shapes {shapes}")
+
     def inner(self, f: np.ndarray, g: np.ndarray):
         """Weighted inner product; batched over leading axes."""
         f = np.asarray(f, dtype=float)
         g = np.asarray(g, dtype=float)
-        if f.shape[-1] != self.size or g.shape[-1] != self.size:
-            raise DimensionMismatch(
-                f"expected last axis {self.size}, got {f.shape[-1]} and {g.shape[-1]}"
-            )
+        self.check_site_axis(f, g)
         out = np.einsum("...i,...i,i->...", f, g, self.weights)
         return float(out) if out.ndim == 0 else out
 
@@ -124,10 +127,7 @@ class AmbientSpace:
         its rows taken alone.
         """
         f = np.asarray(f, dtype=float)
-        if f.shape[-1] != self.size or rows.shape[-1] != self.size:
-            raise DimensionMismatch(
-                f"expected last axis {self.size}, got {f.shape[-1]} and {rows.shape[-1]}"
-            )
+        self.check_site_axis(f, rows)
         flat = (f * self.weights).reshape(-1, self.size) @ rows.T
         return flat.reshape(*f.shape[:-1], len(rows))
 
@@ -410,8 +410,7 @@ def condition_on_partition(
     zero-weight sites, which carry no mass.  Batched over leading axes of f.
     """
     f = np.asarray(f, dtype=float)
-    if f.shape[-1:] != (space.size,):
-        raise DimensionMismatch(f"expected last axis {space.size}, got shape {f.shape}")
+    space.check_site_axis(f)
     part = partition
     if restrict_to is not None:
         part = partition.restrict(space, restrict_to)

@@ -20,6 +20,7 @@ model-vs-stage comparisons blind to spectral mass neither can see.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -39,6 +40,15 @@ from .measure import (
 # Validation tolerance for kernel matrices: nonnegativity, row sums,
 # and weighted symmetry must each hold to this accuracy.
 KERNEL_TOL = 1e-12
+
+
+def _check_lambda(lam: float, name: str = "lambda") -> None:
+    """Refuse a resolvent parameter that is not a finite, positive float."""
+    # json reads NaN and Infinity; NaN fails every comparison.
+    if not abs(lam) <= sys.float_info.max:
+        raise ValueError(f"{name}: resolvent parameter must be a finite float")
+    if lam <= 0:
+        raise ValueError(f"{name}: resolvent parameter must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +141,7 @@ class SpectralModel:
         The complement convention matches the stage resolvents built
         downstream, whose generators vanish off their recorded subspace.
         """
-        if not (np.isfinite(lam) and lam > 0):
-            raise ValueError(f"resolvent parameter must be finite and positive, got {lam}")
+        _check_lambda(lam)
         c, complement = self.space.split(self.basis.vectors, f)
         gain = 1.0 / (lam + self.eigenvalues)
         return self.basis.synthesize(c * gain) + complement / lam
@@ -195,10 +204,7 @@ class MarkovKernelModel:
     def apply(self, f: np.ndarray) -> np.ndarray:
         """(P f)(x) = sum_y P(x, y) f(y); batched over leading axes."""
         f = np.asarray(f, dtype=float)
-        if f.shape[-1] != self.size:
-            raise DimensionMismatch(
-                f"expected last axis {self.size}, got {f.shape[-1]}"
-            )
+        self.space.check_site_axis(f)
         return f @ self.kernel.T
 
     def to_spectral(self, modes: int | None = None, name: str | None = None) -> SpectralModel:

@@ -124,6 +124,12 @@ MUTANTS = [
         "not slice fewer vectors",
     ),
     Mutant(
+        "coefficients-site-axis-unchecked", "src/mosco_graphs/measure.py",
+        "        self.check_site_axis(f, rows)\n",
+        "",
+        "a function or a row of the wrong length fails as DimensionMismatch, not inside numpy",
+    ),
+    Mutant(
         "frozen-array-writable", "src/mosco_graphs/measure.py",
         "    out.setflags(write=False)\n",
         "",
@@ -141,6 +147,24 @@ MUTANTS = [
         "rhs = c.reshape(-1, stage.dim).T",
         "rhs = 2.0 * c.reshape(-1, stage.dim).T",
         "the solve takes the coefficients of f as they are",
+    ),
+    Mutant(
+        "stage-resolvent-lambda-unchecked", "src/mosco_graphs/convergence.py",
+        "    _check_lambda(lam)\n    c, complement = stage.space.split(stage.subspace, f)\n",
+        "    c, complement = stage.space.split(stage.subspace, f)\n",
+        "a single stage resolvent refuses a lambda that is not finite and positive by name",
+    ),
+    Mutant(
+        "exact-resolvent-lambda-unchecked", "src/mosco_graphs/models.py",
+        "        _check_lambda(lam)\n        c, complement = self.space.split(",
+        "        c, complement = self.space.split(",
+        "the model resolvent refuses a lambda that is not finite and positive by name",
+    ),
+    Mutant(
+        "sweep-projection-order", "src/mosco_graphs/convergence.py",
+        "return [record for ix in schedule.indices() for record in records[ix]]",
+        "return [record for rows in records.values() for record in rows]",
+        "the sweep walks the projections outside, but its records come back in grid order",
     ),
     Mutant(
         "complement-scale", "src/mosco_graphs/convergence.py",
@@ -223,6 +247,12 @@ MUTANTS = [
         "an empty battery is refused by name, not inside numpy",
     ),
     Mutant(
+        "battery-bound-dropped", "src/mosco_graphs/convergence.py",
+        "    if n_span + n_step > space.size:",
+        "    if False:",
+        "more span and step probes than sites are refused before any is drawn",
+    ),
+    Mutant(
         "exports-not-distinct", "src/mosco_graphs/config.py",
         "if ix in self.graph_exports[:i]:",
         "if False:",
@@ -293,6 +323,19 @@ MUTANTS = [
         "return isinstance(value, (int, np.integer)) and not isinstance(value, bool)",
         "return isinstance(value, (int, np.integer))",
         "true and false are not indices, counts or seeds",
+    ),
+    Mutant(
+        "model-memory-error-unwrapped", "src/mosco_graphs/cli.py",
+        '        raise ConfigError(f"model: {exc}") from None\n'
+        "    except MemoryError:\n        raise _too_large(config) from None\n",
+        '        raise ConfigError(f"model: {exc}") from None\n',
+        "a model too large for memory is a config error naming resolution, not a traceback",
+    ),
+    Mutant(
+        "zoo-memory-error-unwrapped", "src/mosco_graphs/cli.py",
+        "seed=config.seed)\n    except MemoryError:",
+        "seed=config.seed)\n    except ZeroDivisionError:",
+        "an audit zoo too large for memory is a config error naming resolution",
     ),
     Mutant(
         "index-quadruple-bypassed", "src/mosco_graphs/cli.py",

@@ -342,6 +342,34 @@ class TestConfigValidation:
         assert "config error: test_vectors: the battery is empty" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_battery_larger_than_the_space_is_a_config_error(self, tmp_path, capsys):
+        data = minimal_dict(tmp_path / "out")
+        data["test_vectors"] = {"span": 1, "step": 256}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            "config error: test_vectors: span + step = 257 exceeds the 256 sites\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, builder",
+        [("run", "get_model"), ("export-graph", "get_model"), ("verify", "builtin_models")],
+    )
+    def test_a_model_too_large_for_memory_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch, command, builder
+    ):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, builder, exhausted)
+        out = tmp_path / "out"
+        assert cli.main([command, "--out", str(out)]) == cli.EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == (
+            "config error: resolution: 1024 sites do not fit in memory\n"
+        )
+
     def test_direct_construction_validates_too(self):
         with pytest.raises(ConfigError, match="over-resolve"):
             ExperimentConfig(resolution=16, modes=64)

@@ -68,6 +68,16 @@ class TestStageResolvent:
             with pytest.raises(ValueError, match="lambda"):
                 stage_resolvent(sf, lam, np.ones(8))
 
+    @pytest.mark.parametrize(
+        "lam, needle",
+        [(0.0, "positive"), (-1.0, "positive"), (np.nan, "a finite float"), (np.inf, "a finite float")],
+    )
+    def test_lambda_is_refused_by_the_one_rule(self, lam, needle):
+        space = uniform_interval_space(8)
+        sf = StageForm(StageIndex(0, 1), np.zeros((1, 1)), space.constant()[None], space)
+        with pytest.raises(ValueError, match=f"^lambda: resolvent parameter must be {needle}$"):
+            stage_resolvent(sf, lam, np.ones(8))
+
     def test_batched_rows_match_single_vectors(self, neumann_small):
         sf = stage_generator(
             neumann_small, neumann_small.basis, StageIndex(6, 10, 3, 4)
@@ -85,8 +95,12 @@ class TestStageResolvent:
         with pytest.raises(ValueError, match="nonzero"):
             TestVector("zero", np.zeros(4))
         vec = TestVector("v", np.ones(4))
-        for lam in (0.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="positive"):
+        for lam, needle in (
+            (0.0, "^lambda: resolvent parameter must be positive$"),
+            (np.nan, "^lambda: resolvent parameter must be a finite float$"),
+            (np.inf, "^lambda: resolvent parameter must be a finite float$"),
+        ):
+            with pytest.raises(ValueError, match=needle):
                 ResolventProbe(lam, (vec,))
         with pytest.raises(ValueError, match="at least one"):
             ResolventProbe(1.0, ())
@@ -389,6 +403,18 @@ class TestSweep:
                 battery[1].values,
             )
 
+    def test_projections_walk_k_fastest(self):
+        grid = SweepGrid(n=(2, 4), m=(2, 4), l=(1, 2), k=(1, 3))
+        assert grid.projections() == [
+            (m, l, k) for m in (2, 4) for l in (1, 2) for k in (1, 3)
+        ]
+        assert grid.indices() == [
+            StageIndex(n, *p) for n in (2, 4) for p in grid.projections()
+        ]
+        bare = SweepGrid(n=(0, 3))
+        assert bare.projections() == [()]
+        assert bare.indices() == [StageIndex(0), StageIndex(3)]
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             SweepGrid(n=())
@@ -430,6 +456,16 @@ class TestDefaultBattery:
         for vec in battery_full:
             if vec.name != "const":
                 assert float(space.norm(vec.values)) == pytest.approx(1.0, rel=1e-12)
+
+    def test_more_probes_than_sites_are_refused(self):
+        # Refused before any vector is drawn: a huge count used to loop
+        # until memory ran out.
+        model = neumann_model(32, 8)
+        rng = np.random.default_rng(7)
+        with pytest.raises(ValueError, match=r"^span \+ step = 37 exceeds the 32 sites$"):
+            default_test_battery(model, model.basis, rng, n_step=33)
+        full = default_test_battery(model, model.basis, rng, n_span=30, n_step=2)
+        assert len(full) == 7 + 32 + 1
 
     def test_battery_transfers_across_resolutions(self):
         # Same seed, half the grid: the random draws must describe the

@@ -57,6 +57,14 @@ class TestInnerProduct:
         with pytest.raises(DimensionMismatch):
             space.inner(np.ones(8), np.ones(9))
 
+    def test_site_axis_rule_names_every_shape(self):
+        # A scalar has no site axis; it used to fail with an IndexError.
+        space = uniform_interval_space(8)
+        needle = r"^expected last axis 8, got shapes \[\(\), \(8,\)\]$"
+        with pytest.raises(DimensionMismatch, match=needle):
+            space.inner(1.0, np.ones(8))
+        space.check_site_axis(np.ones(8), np.ones((3, 8)))
+
     def test_normalized_vector_has_unit_norm(self):
         space = uniform_interval_space(64)
         basis = OrthonormalBasis.haar(space, 4)

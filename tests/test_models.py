@@ -212,8 +212,24 @@ class TestExactFormAndResolvent:
             with pytest.raises(ValueError):
                 model.exact_resolvent(lam, model.space.constant())
 
+    @pytest.mark.parametrize(
+        "lam, needle",
+        [(0.0, "positive"), (-1.0, "positive"), (np.nan, "a finite float"), (np.inf, "a finite float")],
+    )
+    def test_lambda_is_refused_by_the_one_rule(self, lam, needle):
+        # The sweep and the config say the same with lambdas[i] in front.
+        model = neumann_model(64, 4)
+        with pytest.raises(ValueError, match=f"^lambda: resolvent parameter must be {needle}$"):
+            model.exact_resolvent(lam, model.space.constant())
+
 
 class TestKernelModels:
+    def test_apply_checks_the_site_axis(self):
+        kernel = birth_death_kernel(4)
+        needle = r"^expected last axis 4, got shapes \[\(2, 5\)\]$"
+        with pytest.raises(DimensionMismatch, match=needle):
+            kernel.apply(np.ones((2, 5)))
+
     def test_validation_catches_bad_kernels(self):
         space = uniform_interval_space(3)
         good = np.full((3, 3), 1.0 / 3.0)
