@@ -226,8 +226,8 @@ def cmd_run(args) -> int:
     try:
         records = iterated_limit_sweep(model, basis, grid, battery, lambdas=config.lambdas)
     except (ValueError, SolverError) as exc:
-        # Deep time levels can push a stage past its NSD or residual
-        # guard; the sweep names the stage, and this is a usage error.
+        # A stage that fails its NSD or residual guard: the sweep names
+        # the stage, and this is a usage error.
         raise ConfigError(f"grid: {exc}") from None
     csv_path = out / "convergence.csv"
     _write_csv(records, csv_path)

@@ -27,10 +27,7 @@ import scipy
 from .errors import SolverError
 from .measure import CellPartition, OrthonormalBasis, _frozen_array
 from .models import SpectralModel, _check_lambda
-from .pipeline import Stage, StageForm, StageIndex, is_integer, semigroup_form
-
-# Residual guard for the resolvent solves, relative to ||f||.
-RESIDUAL_TOL = 1e-9
+from .pipeline import GUARD_EPS, Stage, StageForm, StageIndex, is_integer, semigroup_form
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,37 +69,37 @@ class ResolventProbe:
         object.__setattr__(self, "test_vectors", tuple(self.test_vectors))
 
 
-def _check_residual(
-    stage: StageForm, lam: float, u: np.ndarray, c: np.ndarray, f: np.ndarray
-) -> None:
-    """Raise SolverError unless (lambda - A) u = c holds to RESIDUAL_TOL * ||f||.
+def _check_residual(stage: StageForm, lam: float, u: np.ndarray, c: np.ndarray) -> None:
+    """Raise SolverError unless (lambda - A) u = c holds to a backward error of GUARD_EPS.
 
     ``u`` and ``c`` hold subspace coefficients in their last axis, one row
-    per input vector in ``f``; the check is made for every row.
+    per vector.  Each row's residual is measured against
+    ||lambda - A|| ||u|| = (lambda + ||A||) ||u||, the normwise backward
+    error of Rigal and Gaches; hypot keeps ||u|| from underflowing at deep n.
     """
     residual = np.linalg.norm(lam * u - u @ stage.matrix.T - c, axis=-1)
-    ratio = np.atleast_1d(residual / np.maximum(stage.space.norm(f), 1e-300))
-    if not np.all(ratio <= RESIDUAL_TOL):
+    bound = GUARD_EPS * (lam + stage.norm) * np.hypot.reduce(u, axis=-1)
+    passed = residual <= bound
+    if not np.all(passed):
+        row = np.argmin(passed)
         raise SolverError(
-            f"resolvent solve residual {ratio.max():.3e} * ||f|| exceeds "
-            f"{RESIDUAL_TOL:.1e} * ||f||"
+            f"resolvent solve residual {residual.flat[row]:.3e} exceeds "
+            f"{GUARD_EPS:.1e} * (lambda + ||A||) ||u|| = {bound.flat[row]:.3e}"
         )
 
 
-def _resolve(
-    stage: StageForm, lam: float, c: np.ndarray, complement: np.ndarray, f: np.ndarray
-) -> np.ndarray:
+def _resolve(stage: StageForm, lam: float, c: np.ndarray, complement: np.ndarray) -> np.ndarray:
     """(lambda - L_stage)^{-1} f from f's split on the stage subspace.
 
     ``c`` holds the coefficients of f on the subspace, one row per vector,
     and ``complement`` the rest of f; the callers have checked lambda.  One
-    SPD solve takes every row as a right-hand side, the residual must stay
-    under RESIDUAL_TOL * ||f|| for each, and the complement is scaled by 1/lambda.
+    SPD solve takes every row as a right-hand side, each row must pass the
+    residual guard, and the complement is scaled by 1/lambda.
     """
     matrix = lam * np.eye(stage.dim) - stage.matrix
     rhs = c.reshape(-1, stage.dim).T
     u = scipy.linalg.solve(matrix, rhs, assume_a="pos").T.reshape(c.shape)
-    _check_residual(stage, lam, u, c, f)
+    _check_residual(stage, lam, u, c)
     return u @ stage.subspace + complement / lam
 
 
@@ -114,7 +111,7 @@ def stage_resolvent(stage: StageForm, lam: float, f: np.ndarray) -> np.ndarray:
     """
     _check_lambda(lam)
     c, complement = stage.space.split(stage.subspace, f)
-    return _resolve(stage, lam, c, complement, f)
+    return _resolve(stage, lam, c, complement)
 
 
 def resolvent_error(
@@ -239,7 +236,7 @@ def iterated_limit_sweep(
                     stage = stage.at(n)
                 records[ix] = []
                 for lam, exact in exact_resolvents:
-                    approx = _resolve(stage.form_data, lam, c, complement, stack)
+                    approx = _resolve(stage.form_data, lam, c, complement)
                     errors = model.space.norm(approx - exact)
                     records[ix] += [
                         ConvergenceRecord(

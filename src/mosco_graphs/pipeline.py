@@ -33,12 +33,10 @@ from .errors import DimensionMismatch
 from .measure import AmbientSpace, CellPartition, OrthonormalBasis, _frozen_array
 from .models import SpectralModel
 
-# Ceiling for the largest eigenvalue of a stage generator: zero in exact
-# arithmetic, so anything above this is a construction bug.
-NSD_TOL = 1e-9
-
-# Symmetry tolerance on assembled generator matrices.
-SYM_TOL = 1e-10
+# Rounding allowance of the stage guards, relative to the generator norm
+# ||A|| = max |mu| that their rounding grows with (about 2^n): asymmetry,
+# the largest eigenvalue and the backward error of a resolvent solve.
+GUARD_EPS = 64 * np.finfo(float).eps
 
 # Deepest dyadic level: 2^n must stay a finite float.
 N_MAX = 1023
@@ -187,9 +185,10 @@ class StageForm:
     """A stage generator over an explicitly recorded subspace.
 
     ``matrix`` is the generator of the stage form in the orthonormal
-    coordinates given by the rows of ``subspace``: symmetric, negative
-    semidefinite, with operator norm at most 2^(n+1).  Off the subspace
-    the generator acts as zero.
+    coordinates given by the rows of ``subspace``: finite, and symmetric
+    and negative semidefinite up to GUARD_EPS times its operator norm,
+    kept as ``norm`` = max |mu| (at most 2^(n+1)).  Off the subspace the
+    generator acts as zero.
     """
 
     index: StageIndex
@@ -205,17 +204,23 @@ class StageForm:
             raise DimensionMismatch(
                 f"matrix {matrix.shape} does not act on {p} subspace vectors"
             )
+        # NaN slips through every comparison below, so finiteness comes first.
+        for name, arr in (("matrix", matrix), ("subspace", subspace)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
+        mu = np.linalg.eigvalsh(matrix)
+        norm = float(np.max(np.abs(mu)))
         asym = float(np.max(np.abs(matrix - matrix.T)))
-        if asym > SYM_TOL:
-            raise ValueError(f"generator asymmetry {asym:.3e} exceeds {SYM_TOL:.1e}")
-        top = float(np.linalg.eigvalsh(matrix)[-1])
-        if top > NSD_TOL:
+        if asym > GUARD_EPS * norm:
+            raise ValueError(f"generator asymmetry {asym:.3e} exceeds {GUARD_EPS:.1e} * ||A||")
+        if mu[-1] > GUARD_EPS * norm:
             raise ValueError(
-                f"generator has positive eigenvalue {top:.3e}; "
+                f"generator has positive eigenvalue {mu[-1]:.3e} = {mu[-1] / norm:.1e} * ||A||; "
                 "stage operators must be negative semidefinite"
             )
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "subspace", subspace)
+        object.__setattr__(self, "norm", norm)
 
     @property
     def dim(self) -> int:

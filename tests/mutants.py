@@ -10,10 +10,10 @@ Each entry names a file, a snippet that must occur in it exactly once,
 its replacement, and why the mutant must die.  A snippet that is missing
 or repeated stops the run, so a refactor that moves the code fails
 loudly instead of skipping the entry.  Each mutant is applied to a fresh
-temporary copy of ``src/``, ``tests/``, ``pyproject.toml`` and the README
-(a test reads its config block), where the suite runs with ``-x``; one
-pytest process runs at a time.  The unmutated
-copy runs first and must pass.
+temporary copy of ``src/``, ``tests/``, ``perfbench/`` (a test reads its
+wrap points), ``pyproject.toml`` and the README (a test reads its config
+block), where the suite runs with ``-x``; one pytest process runs at a
+time.  The unmutated copy runs first and must pass.
 
 Equivalent mutants, which no test can kill, are listed apart with the
 reason and are not run.  This table is a check: an entry is never
@@ -21,7 +21,8 @@ deleted or weakened to get a pass.  A survivor becomes a new test, or
 a recorded finding.
 
 Exit code: 0 when every mutant is killed, 1 when one survives, 2 when
-the table does not match the sources or the unmutated suite fails.
+the table does not match the sources, the unmutated suite fails or a
+mutant breaks the run before any test judges it.
 """
 from __future__ import annotations
 
@@ -87,9 +88,35 @@ MUTANTS = [
     ),
     Mutant(
         "nsd-check-off", "src/mosco_graphs/pipeline.py",
-        "if top > NSD_TOL:",
-        "if top > float('inf'):",
+        "if mu[-1] > GUARD_EPS * norm:",
+        "if mu[-1] > float('inf'):",
         "a stage generator with a positive eigenvalue must be refused",
+    ),
+    Mutant(
+        "nsd-rule-unscaled", "src/mosco_graphs/pipeline.py",
+        "if mu[-1] > GUARD_EPS * norm:",
+        "if mu[-1] > GUARD_EPS:",
+        "rounding grows with ||A||, so the positive eigenvalue allowed must too",
+    ),
+    Mutant(
+        "symmetry-guard-off", "src/mosco_graphs/pipeline.py",
+        "if asym > GUARD_EPS * norm:",
+        "if False:",
+        "an asymmetric stage generator must be refused",
+    ),
+    Mutant(
+        "guard-eps-loosened", "src/mosco_graphs/pipeline.py",
+        "GUARD_EPS = 64 * np.finfo(float).eps",
+        "GUARD_EPS = 64e6 * np.finfo(float).eps",
+        "a positive eigenvalue of 1e-8 ||A|| is a defect, not rounding",
+    ),
+    Mutant(
+        "stage-finiteness-dropped", "src/mosco_graphs/pipeline.py",
+        "            if not np.all(np.isfinite(arr)):\n"
+        "                raise ValueError(f\"{name} must be finite\")\n",
+        "            pass\n",
+        "a non-finite stage matrix or subspace is refused by name: a NaN norm "
+        "would pass every scaled guard",
     ),
     Mutant(
         "partition-restriction", "src/mosco_graphs/pipeline.py",
@@ -138,9 +165,21 @@ MUTANTS = [
     # -- resolvents ----------------------------------------------------------
     Mutant(
         "residual-check-dropped", "src/mosco_graphs/convergence.py",
-        "    _check_residual(stage, lam, u, c, f)\n",
+        "    _check_residual(stage, lam, u, c)\n",
         "",
         "an inaccurate subspace solve must be refused, not written",
+    ),
+    Mutant(
+        "residual-rule-unscaled", "src/mosco_graphs/convergence.py",
+        "bound = GUARD_EPS * (lam + stage.norm) *",
+        "bound = GUARD_EPS * lam *",
+        "a solve's rounding grows with ||A||, so the residual allowed must too",
+    ),
+    Mutant(
+        "residual-norm-underflows", "src/mosco_graphs/convergence.py",
+        "np.hypot.reduce(u, axis=-1)",
+        "np.linalg.norm(u, axis=-1)",
+        "at the deepest levels the squares of u underflow, and every solve was refused",
     ),
     Mutant(
         "rhs-scale", "src/mosco_graphs/convergence.py",
@@ -396,7 +435,7 @@ def _count(mutant: Mutant) -> int:
 
 def _copy(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "*.pyc")
-    for part in ("src", "tests"):
+    for part in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
     for name in ("pyproject.toml", "README.md"):
         shutil.copy2(ROOT / name, dest / name)
@@ -448,18 +487,21 @@ def main(argv: list[str]) -> int:
         return 2
     print(f"unmutated suite passes in {seconds:.1f} s")
     selected = [table[name] for name in argv] or MUTANTS
-    survivors = 0
+    survivors = broken = 0
     for mutant in selected:
         code, first, seconds = _run(mutant)
         # pytest exits 1 on a failed test and 2 on an error; 0 is a survivor.
-        verdict = "killed" if code != 0 else "SURVIVED"
-        survivors += code == 0
+        # A run that names no failing test broke before any test could judge
+        # the mutant, as a replacement that is not valid Python does.
+        verdict = "SURVIVED" if code == 0 else "killed" if first else "BROKEN"
+        survivors += verdict == "SURVIVED"
+        broken += verdict == "BROKEN"
         print(f"{verdict:8} {seconds:6.1f} s  {mutant.name:32} {first}", flush=True)
     for mutant in EQUIVALENT:
         print(f"{'equiv':8} {'':8}  {mutant.name:32} {mutant.why}")
-    print(f"{len(selected) - survivors} killed, {survivors} survived, "
-          f"{len(EQUIVALENT)} equivalent")
-    return 1 if survivors else 0
+    print(f"{len(selected) - survivors - broken} killed, {survivors} survived, "
+          f"{broken} broken, {len(EQUIVALENT)} equivalent")
+    return 1 if survivors else 2 if broken else 0
 
 
 if __name__ == "__main__":

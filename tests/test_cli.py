@@ -15,8 +15,10 @@ from test_golden import CONFIG as GOLDEN_CONFIG
 import mosco_graphs
 from mosco_graphs import (
     OrthonormalBasis,
+    SpectralModel,
     StageIndex,
     cli,
+    convergence,
     final_stage_graph,
     neumann_model,
     read_edge_list,
@@ -589,23 +591,36 @@ class TestExportCommand:
             assert capsys.readouterr().err.startswith("config error: --index: ")
 
     @pytest.mark.parametrize(
-        "grid, needle",
+        "grid, defect, needle",
         [
             (
                 {"n": [32], "m": [16], "l": [2], "k": [8]},
+                "indefinite",
                 r"config error: grid: n32_m16_l2_k8: generator has positive eigenvalue",
             ),
             (
                 {"n": [30], "m": [4, 8, 16], "l": [2, 4], "k": [2, 4, 8]},
+                "inaccurate",
                 r"config error: grid: n30_m\d+_l\d_k\d: resolvent solve residual",
             ),
         ],
         ids=["nsd-guard", "residual-guard"],
     )
-    def test_deep_grid_levels_fail_cleanly(self, tmp_path, capsys, grid, needle):
-        # The loader takes n up to 1023, but at such levels the conditioned
-        # stages trip their guards; that used to end in a traceback and
-        # exit code 1, the code of a failed audit.
+    def test_deep_grid_levels_fail_cleanly(
+        self, tmp_path, capsys, monkeypatch, grid, defect, needle
+    ):
+        # A stage that trips a guard at a deep level used to end in a
+        # traceback and exit code 1, the code of a failed audit.  The
+        # defects are real: the per-mode decay with its sign flipped makes
+        # the generator indefinite, and a solve off by 0.1 % is no rounding.
+        if defect == "indefinite":
+            decay = SpectralModel.decay
+            monkeypatch.setattr(SpectralModel, "decay", lambda model, t: -decay(model, t))
+        else:
+            solve = convergence.scipy.linalg.solve
+            monkeypatch.setattr(
+                convergence.scipy.linalg, "solve", lambda a, b, **kw: 1.001 * solve(a, b, **kw)
+            )
         data = minimal_dict(tmp_path / "out")
         data.update(resolution=128, modes=16, grid=grid)
         path = tmp_path / "config.json"
@@ -613,6 +628,24 @@ class TestExportCommand:
         assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert re.match(needle, err) and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"n": [32], "m": [16], "l": [2], "k": [8]},
+            {"n": [30], "m": [4, 8, 16], "l": [2, 4], "k": [2, 4, 8]},
+        ],
+        ids=["n32", "n30"],
+    )
+    def test_deep_grid_levels_whose_only_defect_is_rounding_run(self, tmp_path, capsys, grid):
+        # Guards absolute in 1e-9 refused these stages, whose rounding grows
+        # like 2^n; scaled by the generator norm, they let them through.
+        data = minimal_dict(tmp_path / "out")
+        data.update(resolution=128, modes=16, grid=grid)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["run", "--config", str(path)]) == 0
+        assert "all 58 audits passed" in capsys.readouterr().out
 
     def test_model_bounds_are_enforced_at_startup(self, tmp_path, capsys):
         # Every grid and export index is checked against the model before

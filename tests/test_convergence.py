@@ -403,6 +403,15 @@ class TestSweep:
                 battery[1].values,
             )
 
+    @pytest.mark.parametrize("grid", [SweepGrid(n=(1000, 1023), m=(2, 8)), SweepGrid(n=(1023,))])
+    def test_the_deepest_levels_pass_the_residual_guard(self, grid):
+        # There (lambda - A)^-1 shrinks the coefficients to about 2^-1023,
+        # whose squares underflow: the guard's ||u|| must not square them,
+        # or it reads 0 and refuses every solve.
+        model, battery, _ = self.make_inputs()
+        records = iterated_limit_sweep(model, model.basis, grid, battery, lambdas=(0.25, 4.0))
+        assert all(np.isfinite(r.resolvent_error) for r in records)
+
     def test_projections_walk_k_fastest(self):
         grid = SweepGrid(n=(2, 4), m=(2, 4), l=(1, 2), k=(1, 3))
         assert grid.projections() == [

@@ -461,3 +461,40 @@ class TestStageGenerators:
                 subspace=basis.vectors,
                 space=space,
             )
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**40])
+    def test_guards_scale_with_the_generator_norm(self, scale):
+        # Rounding grows with ||A||, about 2^n, so the asymmetry and the
+        # positive eigenvalue a guard lets through grow with it too.
+        space = uniform_interval_space(8)
+        basis = OrthonormalBasis.haar(space, 2)
+
+        def build(matrix):
+            return StageForm(StageIndex(0, 2), scale * np.array(matrix), basis.vectors, space)
+
+        assert build([[1e-16, 0.0], [0.0, -1.0]]).norm == scale
+        build([[-1.0, 1e-16], [0.0, -1.0]])
+        with pytest.raises(ValueError, match="positive eigenvalue .* negative semidefinite"):
+            build([[1e-8, 0.0], [0.0, -1.0]])
+        with pytest.raises(ValueError, match="asymmetry"):
+            build([[-1.0, 1e-8], [0.0, -1.0]])
+
+    @pytest.mark.parametrize(
+        "name, matrix, site",
+        [
+            ("matrix", [[np.nan, 0.0], [0.0, -1.0]], None),
+            ("matrix", [[-1.0, np.inf], [np.inf, -1.0]], None),
+            ("matrix", [[-1.0, -np.inf], [-np.inf, -1.0]], None),
+            ("subspace", [[-1.0, 0.0], [0.0, -1.0]], 3),
+        ],
+        ids=["nan-matrix", "inf-matrix", "minus-inf-matrix", "nan-subspace"],
+    )
+    def test_non_finite_inputs_are_refused_by_name(self, name, matrix, site):
+        # They used to be accepted, and a resolvent then failed inside scipy
+        # naming no field; a NaN norm would make every scaled guard pass.
+        space = uniform_interval_space(8)
+        subspace = np.array(OrthonormalBasis.haar(space, 2).vectors)
+        if site is not None:
+            subspace[1, site] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            StageForm(StageIndex(0, 2), np.array(matrix), subspace, space)
