@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .audits import AUDIT_MODES, audit_suite
 from .config import ExperimentConfig, _stage_index, default_config, load_config
-from .convergence import MOSCO_PROXY_NOTE, default_test_battery, iterated_limit_sweep
+from .convergence import MOSCO_PROXY_NOTE, _check_battery, default_test_battery, iterated_limit_sweep
 from .errors import ConfigError, SolverError
 from .graphs import final_stage_graph, write_edge_list, write_graph_json
 from .measure import OrthonormalBasis
@@ -127,10 +127,9 @@ def _battery(config: ExperimentConfig, model: SpectralModel, basis: OrthonormalB
     rng = np.random.default_rng(config.seed)
     try:
         battery = default_test_battery(model, basis, rng, **asdict(config.test_vectors))
+        _check_battery(battery)
     except ValueError as exc:
         raise ConfigError(f"test_vectors: {exc}") from None
-    if not battery:
-        raise ConfigError("test_vectors: the battery is empty; ask for at least one vector")
     return battery
 
 

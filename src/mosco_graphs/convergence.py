@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 from .errors import SolverError
-from .measure import CellPartition, OrthonormalBasis, _frozen_array
+from .measure import CellPartition, OrthonormalBasis, _finite_array
 from .models import SpectralModel, _check_lambda
 from .pipeline import GUARD_EPS, Stage, StageForm, StageIndex, is_integer, semigroup_form
 
@@ -39,7 +39,7 @@ class TestVector:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _frozen_array(self.values)
+        values = _finite_array(self.values, f"test vector {self.name!r}")
         if values.ndim != 1 or not np.any(values != 0.0):
             raise ValueError("test vectors must be nonzero one-dimensional arrays")
         object.__setattr__(self, "values", values)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, SymmetryError
-from .measure import AmbientSpace, CellPartition, OrthonormalBasis, _frozen_array
+from .measure import AmbientSpace, CellPartition, OrthonormalBasis, _finite_array
 from .models import MarkovKernelModel, SpectralModel
 from .pipeline import StageIndex, stage_partition
 
@@ -61,14 +61,11 @@ class WeightedGraph:
     partition: CellPartition | None = None
 
     def __post_init__(self):
-        mu, c, kappa = map(_frozen_array, (self.vertex_weights, self.conductances, self.killing))
+        names = ("vertex_weights", "conductances", "killing")
+        mu, c, kappa = (_finite_array(getattr(self, name), name) for name in names)
         # Every reduction below needs an entry: refuse the empty graph first.
         if mu.size == 0:
             raise ValueError("vertex_weights: a graph needs at least one vertex")
-        # NaN slips through every comparison below, so finiteness comes first.
-        for name, arr in (("vertex_weights", mu), ("conductances", c), ("killing", kappa)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise ValueError("scale must be finite and positive")
         v = mu.size
@@ -287,13 +284,7 @@ def _finite_numbers(values, field: str) -> np.ndarray:
     for kind in set(map(type, values)):
         if kind is bool or not issubclass(kind, numbers.Real):
             raise ValueError(f"{field}: values must be numbers, found {kind.__name__}")
-    try:
-        out = np.asarray(values, dtype=float)
-    except OverflowError:  # an int beyond the float range
-        raise ValueError(f"{field}: values must be finite") from None
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{field}: values must be finite")
-    return out
+    return _finite_array(values, f"{field}: values")
 
 
 def _integers(values, field: str) -> np.ndarray:

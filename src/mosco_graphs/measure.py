@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,6 +32,17 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     """A read-only copy of values: neither its owner nor the caller's input can change it."""
     out = np.array(values, dtype=dtype, copy=True)
     out.setflags(write=False)
+    return out
+
+
+def _finite_array(values, name: str) -> np.ndarray:
+    """Frozen float copy; a non-finite value is refused by name, before NaN can pass a comparison."""
+    try:
+        out = _frozen_array(values)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{name} must be finite") from None
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} must be finite")
     return out
 
 
@@ -62,15 +73,15 @@ class AmbientSpace:
 
     def __post_init__(self):
         points = _frozen_array(self.points)
-        weights = _frozen_array(self.weights)
+        weights = _finite_array(self.weights, "weights")
         if points.ndim != 1 or weights.ndim != 1:
             raise ValueError("points and weights must be one-dimensional")
         if points.shape != weights.shape:
             raise DimensionMismatch(
                 f"{points.size} points but {weights.size} weights"
             )
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-            raise ValueError("weights must be finite and nonnegative")
+        if np.any(weights < 0):
+            raise ValueError("weights must be nonnegative")
         sets = []
         for raw in self.exhaustion:
             # Sorted without repeats, as np.unique gives, which imports numpy.ma.
@@ -213,6 +224,7 @@ class CellPartition:
         _check_cell_range(cell_of, n_cells)
         if np.any(np.bincount(cell_of[cell_of >= 0], minlength=n_cells) == 0):
             raise PartitionError("every cell index must be carried by a site")
+        # Not _finite_array: a partition's refusals are all PartitionErrors.
         if not np.all(np.isfinite(masses)) or np.any(masses <= 0):
             raise PartitionError("cells must have finite positive mass")
         labels = self.labels
@@ -279,10 +291,7 @@ class CellPartition:
     @classmethod
     def singletons(cls, space: AmbientSpace) -> "CellPartition":
         """Finest partition: one cell per positive-mass site."""
-        cell_of = np.full(space.size, -1, dtype=np.intp)
-        alive = np.flatnonzero(space.weights > 0)
-        cell_of[alive] = np.arange(alive.size)
-        return cls.from_labels(space, cell_of, alive.size)
+        return cls.from_labels(space, np.arange(space.size), space.size)
 
     # -- derived structure -------------------------------------------------
 
@@ -382,6 +391,7 @@ class StepFunction:
     coefficients: np.ndarray
 
     def __post_init__(self):
+        # Not _finite_array: the audits must see a NaN coefficient to fail on it.
         coeffs = _frozen_array(self.coefficients)
         if coeffs.shape[-1:] != (self.partition.n_cells,):
             raise DimensionMismatch(
@@ -433,15 +443,13 @@ class OrthonormalBasis:
     vectors: np.ndarray
 
     def __post_init__(self):
-        vectors = _frozen_array(self.vectors)
+        vectors = _finite_array(self.vectors, "basis vectors")
         if vectors.ndim != 2 or vectors.shape[1] != self.space.size:
             raise DimensionMismatch(
                 f"vectors must be (K, {self.space.size}), got {vectors.shape}"
             )
         if vectors.shape[0] < 1:
             raise ValueError("basis needs at least one vector")
-        if not np.all(np.isfinite(vectors)):
-            raise ValueError("basis vectors must be finite")
         object.__setattr__(self, "vectors", vectors)
         if self.orthonormality_residual > TOL_ORTHO:
             raise ValueError(
@@ -521,20 +529,16 @@ class OrthonormalBasis:
         out[0] /= space.norm(out[0])
         queue: list[np.ndarray] = [alive]
         built = 1
+        # Every block holds positive-weight sites only, so both halves carry
+        # mass, and the alive.size >= count sites allow count - 1 splits.
         while built < count:
-            if not queue:
-                raise ValueError("ran out of splittable blocks")
             block = queue.pop(0)
             if block.size < 2:
                 continue
             cum = np.cumsum(w[block])
-            half = np.searchsorted(cum, cum[-1] / 2.0, side="left") + 1
-            half = min(max(half, 1), block.size - 1)
+            half = min(np.searchsorted(cum, cum[-1] / 2.0, side="left") + 1, block.size - 1)
             left, right = block[:half], block[half:]
             mass_l, mass_r = w[left].sum(), w[right].sum()
-            if mass_l <= 0 or mass_r <= 0:
-                queue.append(block[1:] if mass_l <= 0 else block[:-1])
-                continue
             vec = np.zeros(space.size)
             vec[left] = 1.0 / mass_l
             vec[right] = -1.0 / mass_r

@@ -31,7 +31,7 @@ from .errors import DimensionMismatch, SymmetryError
 from .measure import (
     AmbientSpace,
     OrthonormalBasis,
-    TOL_ORTHO,
+    _finite_array,
     _frozen_array,
     exhaustion_slabs,
     uniform_interval_space,
@@ -85,7 +85,7 @@ class SpectralModel:
             raise DimensionMismatch(
                 f"{lam.size} eigenvalues for {self.basis.n_vectors} basis vectors"
             )
-        if np.any(np.isnan(lam)) or np.any(lam < -1e-10):
+        if np.any(np.isnan(lam)) or np.any(lam < -1e-10):  # +inf is allowed: not _finite_array
             raise ValueError("eigenvalues must be nonnegative")
         lam = np.maximum(lam, 0.0)
         if np.any(np.diff(lam) < 0):
@@ -170,13 +170,10 @@ class MarkovKernelModel:
     kernel: np.ndarray
 
     def __post_init__(self):
-        P = _frozen_array(self.kernel)
+        P = _finite_array(self.kernel, "kernel")
         n = self.space.size
         if P.shape != (n, n):
             raise DimensionMismatch(f"kernel must be ({n}, {n}), got {P.shape}")
-        # NaN slips through every comparison below, so finiteness comes first.
-        if not np.all(np.isfinite(P)):
-            raise ValueError("kernel must be finite")
         if np.any(self.space.weights <= 0):
             raise ValueError("kernel models need strictly positive weights")
         if np.min(P) < -KERNEL_TOL:
@@ -218,10 +215,8 @@ class MarkovKernelModel:
         root = np.sqrt(w)
         sym = root[:, None] * (np.eye(self.size) - self.kernel) / root[None, :]
         sym = (sym + sym.T) / 2.0
+        # SpectralModel clamps the rounding below zero and refuses the rest.
         lam, psi = np.linalg.eigh(sym)
-        if lam[0] < -1e-10:
-            raise ValueError(f"generator has negative eigenvalue {lam[0]:.3e}")
-        lam = np.maximum(lam, 0.0)
         vectors = (psi / root[:, None]).T
         # Fix the sign ambiguity so repeated runs agree bit for bit.
         lead = vectors[np.arange(self.size), np.argmax(np.abs(vectors), axis=1)]

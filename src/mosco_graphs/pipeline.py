@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionMismatch
-from .measure import AmbientSpace, CellPartition, OrthonormalBasis, _frozen_array
+from .measure import AmbientSpace, CellPartition, OrthonormalBasis, _finite_array
 from .models import SpectralModel
 
 # Rounding allowance of the stage guards, relative to the generator norm
@@ -197,17 +197,13 @@ class StageForm:
     space: AmbientSpace
 
     def __post_init__(self):
-        matrix = _frozen_array(self.matrix)
-        subspace = _frozen_array(self.subspace)
+        matrix = _finite_array(self.matrix, "matrix")
+        subspace = _finite_array(self.subspace, "subspace")
         p = subspace.shape[0]
         if matrix.shape != (p, p):
             raise DimensionMismatch(
                 f"matrix {matrix.shape} does not act on {p} subspace vectors"
             )
-        # NaN slips through every comparison below, so finiteness comes first.
-        for name, arr in (("matrix", matrix), ("subspace", subspace)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
         mu = np.linalg.eigvalsh(matrix)
         norm = float(np.max(np.abs(mu)))
         asym = float(np.max(np.abs(matrix - matrix.T)))

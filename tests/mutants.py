@@ -111,12 +111,13 @@ MUTANTS = [
         "a positive eigenvalue of 1e-8 ||A|| is a defect, not rounding",
     ),
     Mutant(
-        "stage-finiteness-dropped", "src/mosco_graphs/pipeline.py",
-        "            if not np.all(np.isfinite(arr)):\n"
-        "                raise ValueError(f\"{name} must be finite\")\n",
-        "            pass\n",
-        "a non-finite stage matrix or subspace is refused by name: a NaN norm "
-        "would pass every scaled guard",
+        "stage-finiteness-dropped", "src/mosco_graphs/measure.py",
+        "    if not np.isfinite(out).all():\n"
+        "        raise ValueError(f\"{name} must be finite\")\n",
+        "",
+        "a non-finite stage matrix or subspace, and every other float array under "
+        "the one finiteness rule, is refused by name: a NaN norm would pass every "
+        "scaled guard",
     ),
     Mutant(
         "partition-restriction", "src/mosco_graphs/pipeline.py",
@@ -210,6 +211,12 @@ MUTANTS = [
         "return u @ stage.subspace + complement / lam",
         "return u @ stage.subspace + complement",
         "the stage resolvent, in the sweep and alone, acts as 1/lambda off its subspace",
+    ),
+    Mutant(
+        "test-vector-finiteness-bypassed", "src/mosco_graphs/convergence.py",
+        'values = _finite_array(self.values, f"test vector {self.name!r}")',
+        "values = np.array(self.values, dtype=float); values.setflags(write=False)",
+        "a probe that is not finite is refused as that probe, not blamed on the first stage",
     ),
     # -- graphs --------------------------------------------------------------
     Mutant(
@@ -375,6 +382,13 @@ MUTANTS = [
         "seed=config.seed)\n    except MemoryError:",
         "seed=config.seed)\n    except ZeroDivisionError:",
         "an audit zoo too large for memory is a config error naming resolution",
+    ),
+    Mutant(
+        "cli-battery-check-dropped", "src/mosco_graphs/cli.py",
+        "        _check_battery(battery)\n",
+        "",
+        "an empty battery is a config error naming test_vectors, before the output "
+        "directory is made",
     ),
     Mutant(
         "index-quadruple-bypassed", "src/mosco_graphs/cli.py",

@@ -341,7 +341,9 @@ class TestConfigValidation:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(data))
         assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG_ERROR
-        assert "config error: test_vectors: the battery is empty" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: test_vectors: battery: expected at least one test vector\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_battery_larger_than_the_space_is_a_config_error(self, tmp_path, capsys):

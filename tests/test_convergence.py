@@ -381,6 +381,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="^battery: expected at least one test vector$"):
             ResolventProbe(1.0, ())
 
+    def test_nan_test_vector_is_refused_by_its_name(self):
+        # The sweep used to blame the first stage: "n2_m2_l1_k1: array must
+        # not contain infs or NaNs".
+        model, battery, grid = self.make_inputs()
+        values = np.array(battery[1].values)
+        values[5] = np.nan
+        with pytest.raises(ValueError, match="^test vector 'probe' must be finite$"):
+            probe = TestVector("probe", values)
+            iterated_limit_sweep(model, model.basis, grid, [battery[0], probe])
+
     @pytest.mark.parametrize("error", [1e-6, np.nan])
     def test_inaccurate_solve_is_refused(self, monkeypatch, error):
         # The residual guard checks every vector of a batched solve: one

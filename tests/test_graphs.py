@@ -116,6 +116,15 @@ def near_constant_case():
     return WeightedGraph(np.ones(7), 2.0**30 * np.ones((7, 7)), np.zeros(7), scale=2.0**30), alpha
 
 
+def subnormal_case():
+    """Values [0, 4.9e-160, 0] on the path 0 - 1 - 2 with conductances 0.3:
+    the energy, about 1.4e-319, is subnormal, and the two forms differ by
+    one step of 5e-324, while the relative bound underflows below it."""
+    c = np.zeros((3, 3))
+    c[[0, 1, 1, 2], [1, 0, 2, 1]] = 0.3
+    return WeightedGraph(np.ones(3), c, np.zeros(3)), np.array([0.0, 4.9e-160, 0.0])
+
+
 class TestGraphValidation:
     def test_empty_graph_is_refused_by_name(self):
         # It used to fail inside numpy: "zero-size array to reduction
@@ -176,6 +185,7 @@ class TestGraphValidation:
     @settings(max_examples=200, deadline=None)
     @given(case=energy_cases())
     @example(case=near_constant_case())
+    @example(case=subnormal_case())
     def test_energy_input_forms(self, case):
         graph, alpha = case
         v = graph.n_vertices
@@ -190,15 +200,21 @@ class TestGraphValidation:
             out = 0.5 * math.fsum(c[i, j] * (b[i] ** 2 + b[j] ** 2) for i, j in ij)
             return out + math.fsum(kappa * a**2)
 
+        def bound(a):
+            # Below the normal range rounding is absolute: half a subnormal step
+            # per product and per square, the squares' steps scaled by c and kappa.
+            floor = (v * v + c.sum() + kappa.sum()) * np.finfo(float).smallest_subnormal
+            return 1e-12 * operands(a) + floor
+
         explicit = 0.5 * math.fsum(c[i, j] * (alpha[i] - alpha[j]) ** 2 for i, j in ij)
         explicit += math.fsum(kappa * alpha**2)
-        assert abs(graph_energy(graph, alpha) - explicit) <= 1e-12 * operands(alpha)
+        assert abs(graph_energy(graph, alpha) - explicit) <= bound(alpha)
         assert graph_energy(graph, alpha.tolist()) == graph_energy(graph, alpha)
         stack = np.stack([alpha, alpha[::-1], -2.0 * alpha])
         batch = graph_energy(graph, stack)
         assert batch.shape == (3,)
         for row, value in zip(stack, batch):
-            assert abs(value - graph_energy(graph, row)) <= 1e-12 * operands(row)
+            assert abs(value - graph_energy(graph, row)) <= bound(row)
         part = CellPartition(cell_of=np.arange(v), masses=graph.vertex_weights)
         with pytest.raises(DimensionMismatch):
             graph_energy(graph, StepFunction(part, alpha))

@@ -1,5 +1,6 @@
 """Weighted spaces, partitions, step functions, conditioning, bases."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from mosco_graphs import (
     condition_on_partition,
     uniform_interval_space,
 )
+from mosco_graphs.graphs import _finite_numbers
 
 
 def two_point_space(w0=0.5, w1=0.25):
@@ -521,6 +523,22 @@ class TestOrthonormalBasis:
         f = basis.synthesize(coeffs)
         assert basis.coefficients(f) == pytest.approx(coeffs, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=1, max_size=24))
+    @example([0.0, 0.5, 0.0, 0.25, 0.25, 0.0, 0.0])
+    def test_haar_spends_every_alive_site_around_dead_ones(self, weights):
+        # Blocks hold positive-weight sites only, so both halves of a split
+        # carry mass and count can reach the number of alive sites.
+        weights = np.array(weights)
+        alive = weights > 0
+        assume(alive.any())
+        sites = np.arange(weights.size)
+        space = AmbientSpace(sites.astype(float), weights, (sites,))
+        basis = OrthonormalBasis.haar(space, int(alive.sum()))
+        assert basis.n_vectors == alive.sum()
+        assert not basis.vectors[:, ~alive].any()
+        assert basis.orthonormality_residual <= 1e-12
+
     def test_haar_leads_with_the_constant(self):
         space = uniform_interval_space(64)
         basis = OrthonormalBasis.haar(space, 5)
@@ -529,14 +547,22 @@ class TestOrthonormalBasis:
             assert space.inner(row, space.constant()) == pytest.approx(0.0, abs=1e-12)
 
 
-def _frozen_cases():
-    """(name, build) pairs: build returns the object and, per stored array,
-    the array the caller passed in.  Each array is fresh and writable."""
+def _builders(plant=None):
+    """name -> build: build returns the object and, per stored array, the
+    array the caller passed in.  Each array is fresh and writable; with
+    ``plant = (input, value)`` the float input so named carries value in
+    its first entry."""
     space = uniform_interval_space(4)
     eye = np.eye(4) * 2.0  # orthonormal rows for weights 1/4
 
+    def planted(name, values):
+        if plant is not None and plant[0] == name:
+            values.flat[0] = plant[1]
+        return values
+
     def ambient():
-        points, weights, sets = np.arange(4.0), np.full(4, 0.25), (np.arange(2), np.arange(4))
+        points, weights = np.arange(4.0), planted("weights", np.full(4, 0.25))
+        sets = (np.arange(2), np.arange(4))
         obj = AmbientSpace(points, weights, sets)
         return [(obj.points, points), (obj.weights, weights)] + list(zip(obj.exhaustion, sets))
 
@@ -551,7 +577,7 @@ def _frozen_cases():
         return [(obj.coefficients, coefficients)]
 
     def basis():
-        vectors = eye[:2].copy()
+        vectors = planted("basis vectors", eye[:2].copy())
         return [(OrthonormalBasis(space, vectors).vectors, vectors)]
 
     def spectral():
@@ -560,25 +586,45 @@ def _frozen_cases():
         return [(obj.eigenvalues, eigenvalues)]
 
     def kernel():
-        P = np.full((4, 4), 0.25)
+        P = planted("kernel", np.full((4, 4), 0.25))
         return [(MarkovKernelModel("flat", space, P).kernel, P)]
 
     def stage_form():
-        matrix, subspace = -np.eye(2), eye[:2].copy()
+        matrix, subspace = planted("matrix", -np.eye(2)), planted("subspace", eye[:2].copy())
         obj = StageForm(StageIndex(1), matrix, subspace, space)
         return [(obj.matrix, matrix), (obj.subspace, subspace)]
 
     def test_vector():
-        values = np.array([1.0, 0.0, 2.0])
+        values = planted("test vector 'v'", np.array([1.0, 0.0, 2.0]))
         return [(TestVector("v", values).values, values)]
 
     def graph():
-        mu, c, kappa = np.ones(2), np.array([[0.0, 0.5], [0.5, 0.0]]), np.full(2, 0.5)
+        mu = planted("vertex_weights", np.ones(2))
+        c = planted("conductances", np.array([[0.0, 0.5], [0.5, 0.0]]))
+        kappa = planted("killing", np.full(2, 0.5))
         obj = WeightedGraph(mu, c, kappa)
         return [(obj.vertex_weights, mu), (obj.conductances, c), (obj.killing, kappa)]
 
     builders = [ambient, partition, step, basis, spectral, kernel, stage_form, test_vector, graph]
-    return [pytest.param(build, id=build.__name__) for build in builders]
+    return {build.__name__: build for build in builders}
+
+
+def _frozen_cases():
+    return [pytest.param(build, id=name) for name, build in _builders().items()]
+
+
+# Every float array under the finiteness rule: (builder, input it names).
+FINITE_INPUTS = [
+    ("ambient", "weights"),
+    ("basis", "basis vectors"),
+    ("kernel", "kernel"),
+    ("stage_form", "matrix"),
+    ("stage_form", "subspace"),
+    ("test_vector", "test vector 'v'"),
+    ("graph", "vertex_weights"),
+    ("graph", "conductances"),
+    ("graph", "killing"),
+]
 
 
 class TestFrozenArrays:
@@ -591,3 +637,16 @@ class TestFrozenArrays:
             before = stored.copy()
             given += 1
             assert np.array_equal(stored, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("builder, name", FINITE_INPUTS)
+    def test_every_float_array_is_refused_unless_finite(self, builder, name, bad):
+        # A test vector used to accept NaN, and the sweep then blamed its first stage.
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be finite$"):
+            _builders(plant=(name, bad))[builder]()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_reader_columns_are_refused_unless_finite(self, bad):
+        # The readers' columns go through the same rule, named by field.
+        with pytest.raises(ValueError, match="^edge c: values must be finite$"):
+            _finite_numbers([1.0, bad], "edge c")
