@@ -192,7 +192,7 @@ def final_stage_graph(
     energy satisfies graph_energy(step values of the stage projection
     of f) = stage form of f.
     """
-    if index.m is None or index.l is None or index.k is None:
+    if index.k is None:  # StageIndex makes k require l and l require m
         raise ValueError("final stage graph needs all of n, m, l, k")
     index.validate_for(model, basis)
     return extract_graph(
@@ -274,29 +274,25 @@ def _as_scale(value) -> float:
     return scale
 
 
-def _finite_numbers(values, field: str) -> np.ndarray:
-    """A column of real numbers as floats; ``field`` names it in a ValueError.
+def _check_column(values, field: str, kind: type, word: str) -> None:
+    """Refuse a column value that is not a ``kind``, or is a bool, which numpy reads as 0 or 1.
 
-    Ints are numbers; strings, null and booleans are not, although numpy
-    would read a boolean as 0 or 1.  Types are checked once per distinct
-    type, so the scan stays a C-level pass over the column.
+    Each distinct type is checked once, so the scan stays a C-level pass.
     """
-    for kind in set(map(type, values)):
-        if kind is bool or not issubclass(kind, numbers.Real):
-            raise ValueError(f"{field}: values must be numbers, found {kind.__name__}")
+    for found in set(map(type, values)):
+        if found is bool or not issubclass(found, kind):
+            raise ValueError(f"{field}: values must be {word}, found {found.__name__}")
+
+
+def _finite_numbers(values, field: str) -> np.ndarray:
+    """A column of real numbers as floats; ints are numbers, strings and null are not."""
+    _check_column(values, field, numbers.Real, "numbers")
     return _finite_array(values, f"{field}: values")
 
 
 def _integers(values, field: str) -> np.ndarray:
-    """A column of integers as intp; ``field`` names it in a ValueError.
-
-    Booleans and floats are refused, integral or not, although numpy
-    would read ``true`` as 1.  Types are checked once per distinct type,
-    as in ``_finite_numbers``.
-    """
-    for kind in set(map(type, values)):
-        if kind is bool or not issubclass(kind, numbers.Integral):
-            raise ValueError(f"{field}: values must be integers, found {kind.__name__}")
+    """A column of integers as intp; floats are refused, integral or not."""
+    _check_column(values, field, numbers.Integral, "integers")
     try:
         return np.asarray(values, dtype=np.intp)
     except OverflowError:

@@ -46,6 +46,22 @@ def _finite_array(values, name: str) -> np.ndarray:
     return out
 
 
+def _site_indices(values, size: int, name: str, error=ValueError) -> np.ndarray:
+    """Frozen, sorted, distinct site indices in 0..size-1, refused by name otherwise.
+
+    A mask or a float array is refused, not read as sites 0 and 1 or
+    truncated; an empty one is the empty set.  No np.unique: it imports numpy.ma.
+    """
+    idx = np.asarray(values)
+    if idx.size and idx.dtype.kind not in "iu":
+        raise error(f"{name} indices must be integers, got {idx.dtype}")
+    idx = np.sort(idx.astype(np.intp, copy=False), axis=None)
+    idx = idx[np.diff(idx, prepend=idx[:1] - 1) != 0]
+    if idx.size and (idx[0] < 0 or idx[-1] >= size):
+        raise error(f"{name} indices must lie in 0..{size - 1}")
+    return _frozen_array(idx, dtype=np.intp)
+
+
 # ---------------------------------------------------------------------------
 # ambient space
 # ---------------------------------------------------------------------------
@@ -82,14 +98,7 @@ class AmbientSpace:
             )
         if np.any(weights < 0):
             raise ValueError("weights must be nonnegative")
-        sets = []
-        for raw in self.exhaustion:
-            # Sorted without repeats, as np.unique gives, which imports numpy.ma.
-            idx = np.sort(np.asarray(raw, dtype=np.intp), axis=None)
-            idx = idx[np.diff(idx, prepend=idx[:1] - 1) != 0]
-            if idx.size and (idx[0] < 0 or idx[-1] >= points.size):
-                raise ValueError("exhaustion indices out of range")
-            sets.append(_frozen_array(idx, dtype=np.intp))
+        sets = [_site_indices(raw, points.size, "exhaustion") for raw in self.exhaustion]
         if not sets:
             raise ValueError("exhaustion must have at least one set")
         for fine, coarse in zip(sets, sets[1:]):
@@ -127,7 +136,6 @@ class AmbientSpace:
 
     def norm(self, f: np.ndarray):
         """Weighted L2 norm; batched over leading axes."""
-        f = np.asarray(f, dtype=float)
         return np.sqrt(self.inner(f, f))
 
     def coefficients(self, rows: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -270,23 +278,15 @@ class CellPartition:
         return cls(cell_of=cell_of, masses=masses, labels=labels, level=level)
 
     @classmethod
-    def from_cells(
-        cls,
-        space: AmbientSpace,
-        cells: Sequence[np.ndarray],
-        labels: np.ndarray | None = None,
-        level: int | None = None,
-    ) -> "CellPartition":
-        """Build a partition from per-cell index arrays, dropping cells with no mass."""
+    def from_cells(cls, space: AmbientSpace, cells: Sequence[np.ndarray]) -> "CellPartition":
+        """Build an unlabelled partition from per-cell index arrays, dropping cells with no mass."""
         cell_of = np.full(space.size, -1, dtype=np.intp)
         for c, raw in enumerate(cells):
-            idx = np.unique(np.asarray(raw, dtype=np.intp))
-            if idx.size and (idx[0] < 0 or idx[-1] >= space.size):
-                raise PartitionError("cell indices out of range")
+            idx = _site_indices(raw, space.size, "cell", PartitionError)
             if np.any(cell_of[idx] >= 0):
                 raise PartitionError("cells overlap")
             cell_of[idx] = c
-        return cls.from_labels(space, cell_of, len(cells), labels=labels, level=level)
+        return cls.from_labels(space, cell_of, len(cells))
 
     @classmethod
     def singletons(cls, space: AmbientSpace) -> "CellPartition":
@@ -333,14 +333,11 @@ class CellPartition:
     def restrict(self, space: AmbientSpace, indices: np.ndarray) -> "CellPartition":
         """Intersect every cell with an index set, keeping positive-mass cells.
 
-        Raises PartitionError when an index is out of range or no cell
-        survives the restriction.
+        Raises PartitionError when an index is not an integer or out of
+        range, or when no cell survives the restriction.
         """
-        indices = np.asarray(indices, dtype=np.intp)
-        if indices.size and (indices.min() < 0 or indices.max() >= self.size):
-            raise PartitionError(f"restriction indices must lie in 0..{self.size - 1}")
         keep = np.zeros(self.size, dtype=bool)
-        keep[indices] = True
+        keep[_site_indices(indices, self.size, "restriction", PartitionError)] = True
         return CellPartition.from_labels(
             space,
             np.where(keep, self.cell_of, -1),

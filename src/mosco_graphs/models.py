@@ -204,12 +204,11 @@ class MarkovKernelModel:
         self.space.check_site_axis(f)
         return f @ self.kernel.T
 
-    def to_spectral(self, modes: int | None = None, name: str | None = None) -> SpectralModel:
+    def to_spectral(self, name: str | None = None) -> SpectralModel:
         """Diagonalize I - P in the weighted geometry.
 
-        Returns a SpectralModel whose semigroup is exp(-t (I - P)); with
-        ``modes`` unset the full eigensystem is kept and the conversion
-        is exact.
+        Returns a SpectralModel whose semigroup is exp(-t (I - P)); the
+        full eigensystem is kept, so the conversion is exact.
         """
         w = self.space.weights
         root = np.sqrt(w)
@@ -221,14 +220,11 @@ class MarkovKernelModel:
         # Fix the sign ambiguity so repeated runs agree bit for bit.
         lead = vectors[np.arange(self.size), np.argmax(np.abs(vectors), axis=1)]
         vectors[lead < 0] *= -1.0
-        keep = self.size if modes is None else modes
-        if not 1 <= keep <= self.size:
-            raise ValueError(f"modes must be in 1..{self.size}, got {keep}")
         return SpectralModel(
             name=name or f"{self.name}-spectral",
             space=self.space,
-            eigenvalues=lam[:keep],
-            basis=OrthonormalBasis(self.space, vectors[:keep]),
+            eigenvalues=lam,
+            basis=OrthonormalBasis(self.space, vectors),
         )
 
 
@@ -303,9 +299,9 @@ def birth_death_kernel(sites: int = 64) -> MarkovKernelModel:
     return MarkovKernelModel(name="birth_death", space=space, kernel=P)
 
 
-def birth_death_model(sites: int = 64, modes: int | None = None) -> SpectralModel:
+def birth_death_model(sites: int = 64) -> SpectralModel:
     """Spectral form of the reflecting birth-death walk."""
-    return birth_death_kernel(sites).to_spectral(modes=modes, name="birth_death")
+    return birth_death_kernel(sites).to_spectral(name="birth_death")
 
 
 def random_kernel_model(
@@ -357,8 +353,8 @@ def builtin_models(
     ]
 
 
-def load_spectral_table(path, name: str | None = None) -> SpectralModel:
-    """Read a spectral model from a plain-text table.
+def load_spectral_table(path) -> SpectralModel:
+    """Read a spectral model, named after the file's stem, from a plain-text table.
 
     Each non-comment row is an eigenvalue followed by the eigenfunction's
     values at the midpoints of a uniform grid on [0, 1]; all rows must
@@ -396,7 +392,7 @@ def load_spectral_table(path, name: str | None = None) -> SpectralModel:
     except ValueError:
         basis = OrthonormalBasis.orthonormalized(space, vectors)
     return SpectralModel(
-        name=name or path.stem,
+        name=path.stem,
         space=space,
         eigenvalues=table[:, 0],
         basis=basis,

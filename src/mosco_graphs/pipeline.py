@@ -222,12 +222,9 @@ class StageForm:
     def dim(self) -> int:
         return self.subspace.shape[0]
 
-    def coefficients(self, f: np.ndarray) -> np.ndarray:
-        return self.space.coefficients(self.subspace, f)
-
     def quad_form(self, f: np.ndarray):
         """<-L f, f>: the energy the generator assigns to f."""
-        c = self.coefficients(f)
+        c = self.space.coefficients(self.subspace, f)
         out = -np.einsum("...p,pq,...q->...", c, self.matrix, c)
         return float(out) if np.ndim(out) == 0 else out
 

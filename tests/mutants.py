@@ -163,6 +163,19 @@ MUTANTS = [
         "",
         "every frozen type stores a read-only copy",
     ),
+    Mutant(
+        "site-index-dtype-unchecked", "src/mosco_graphs/measure.py",
+        'if idx.size and idx.dtype.kind not in "iu":',
+        "if False:",
+        "a boolean mask or a float array is refused as a site-index set, not read as "
+        "sites 0 and 1 or truncated",
+    ),
+    Mutant(
+        "site-index-range-unchecked", "src/mosco_graphs/measure.py",
+        "if idx.size and (idx[0] < 0 or idx[-1] >= size):",
+        "if False:",
+        "a site index outside the grid is refused by name, not wrapped or left to numpy",
+    ),
     # -- resolvents ----------------------------------------------------------
     Mutant(
         "residual-check-dropped", "src/mosco_graphs/convergence.py",
@@ -230,6 +243,18 @@ MUTANTS = [
         "if mu.size == 0:",
         "if False:",
         "a graph with no vertices is refused by name, in the constructor and both readers",
+    ),
+    Mutant(
+        "final-graph-partial-index", "src/mosco_graphs/graphs.py",
+        "if index.k is None:",
+        "if False:",
+        "a final-stage graph needs all of n, m, l, k, refused by name",
+    ),
+    Mutant(
+        "column-bool-accepted", "src/mosco_graphs/graphs.py",
+        "if found is bool or not issubclass(found, kind):",
+        "if not issubclass(found, kind):",
+        "a JSON true is not a vertex id, an endpoint or a number, although numpy reads it as 1",
     ),
     Mutant(
         "json-edge-16-digits", "src/mosco_graphs/graphs.py",

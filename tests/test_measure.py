@@ -124,6 +124,13 @@ class TestAmbientSpace:
         with pytest.raises(ValueError, match="cover"):
             AmbientSpace(points, weights, (np.array([0, 1]),))
 
+    def test_a_final_set_given_as_a_mask_is_refused_by_name(self):
+        # It used to fail as "exhaustion sets must be nested".
+        points, weights, mask = np.arange(8.0), np.ones(8), np.ones(8, dtype=bool)
+        with pytest.raises(ValueError, match="^exhaustion indices must be integers, got bool$"):
+            AmbientSpace(points, weights, (np.arange(4), mask))
+        assert AmbientSpace(points, weights, (np.arange(4), np.flatnonzero(mask))).l_max == 2
+
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             AmbientSpace(np.arange(2.0), np.array([1.0, -0.5]), (np.array([0, 1]),))
@@ -234,6 +241,59 @@ class TestPartitions:
         part = CellPartition.from_cells(space, [np.arange(4), np.arange(4, 8)])
         with pytest.raises(PartitionError, match="0..7"):
             part.restrict(space, np.array([0, bad]))
+
+    # The four constructors that read a site-index array: the error type
+    # and the name each refuses a bad one under.
+    SITE_INDEX_READERS = {
+        "exhaustion": (ValueError, "exhaustion"),
+        "from_cells": (PartitionError, "cell"),
+        "restrict": (PartitionError, "restriction"),
+        "restrict_to": (PartitionError, "restriction"),
+    }
+
+    @staticmethod
+    def sites_read(reader, idx):
+        """The sites that ``reader`` keeps of ``idx`` on an 8-site grid."""
+        space = uniform_interval_space(8)
+        part = CellPartition.from_cells(space, [np.arange(4), np.arange(4, 8)])
+        if reader == "exhaustion":
+            return AmbientSpace(space.points, space.weights, (idx, np.arange(8))).exhaustion_set(1)
+        if reader == "from_cells":
+            return CellPartition.from_cells(space, [idx]).support
+        if reader == "restrict":
+            return part.restrict(space, idx).support
+        return condition_on_partition(np.ones(8), part, space, restrict_to=idx).partition.support
+
+    @pytest.mark.parametrize("reader", SITE_INDEX_READERS)
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            # A mask used to be read as sites 0 and 1, floats were truncated.
+            (np.arange(8) < 4, "indices must be integers, got bool"),
+            (np.array([0.5, 1.5, 2.9]), "indices must be integers, got float64"),
+            (np.array([0, 8]), "indices must lie in 0..7"),
+            (np.array([-1, 3]), "indices must lie in 0..7"),
+        ],
+        ids=["mask", "float", "above", "negative"],
+    )
+    def test_site_index_arrays_are_refused_by_name(self, reader, bad, message):
+        error, name = self.SITE_INDEX_READERS[reader]
+        with pytest.raises(error, match=f"^{name} {re.escape(message)}$"):
+            self.sites_read(reader, bad)
+
+    @pytest.mark.parametrize("reader", SITE_INDEX_READERS)
+    def test_site_index_arrays_are_sorted_and_deduplicated(self, reader):
+        sites = self.sites_read(reader, np.array([5, 1, 5, 0], dtype=np.uint8))
+        assert sites.dtype == np.intp and sites.tolist() == [0, 1, 5]
+
+    def test_an_empty_index_array_of_any_dtype_is_the_empty_set(self):
+        space = uniform_interval_space(8)
+        part = CellPartition.from_cells(space, [np.array([]), [], np.arange(8, dtype=np.int8)])
+        assert part.n_cells == 1 and part.support.tolist() == list(range(8))
+        sets = (np.zeros(0, dtype=bool), np.arange(8))
+        assert AmbientSpace(space.points, space.weights, sets).exhaustion_set(1).size == 0
+        with pytest.raises(PartitionError, match="no cell"):
+            part.restrict(space, np.array([]))
 
 
 class TestPartitionConstructor:

@@ -281,14 +281,6 @@ class TestKernelModels:
                     row *= -1.0
             assert np.array_equal(kernel.to_spectral().basis.vectors, expected)
 
-    def test_conversion_mode_cap(self):
-        kernel = birth_death_kernel(sites=8)
-        model = kernel.to_spectral(modes=3)
-        assert model.n_modes == 3
-        assert not model.is_complete
-        with pytest.raises(ValueError):
-            kernel.to_spectral(modes=9)
-
 
 class TestDyadicMonotonicity:
     def test_rescaled_differences_grow_as_time_halves(self):
@@ -357,7 +349,8 @@ class TestZooAndLoader:
         ]
         path = tmp_path / "rough.txt"
         path.write_text("\n".join(lines) + "\n")
-        loaded = load_spectral_table(path, name="rough")
+        loaded = load_spectral_table(path)
+        assert loaded.name == "rough"
         assert loaded.basis.orthonormality_residual <= 1e-10
 
     def test_table_loader_error_paths(self, tmp_path):

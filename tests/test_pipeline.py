@@ -372,7 +372,7 @@ class TestStageGenerators:
         model = birth_death_model(sites=32)
         top = model.space.l_max
         sf = stage_generator(model, model.basis, StageIndex(4, 8, top, 2))
-        image = sf.coefficients(model.space.constant()) @ sf.matrix @ sf.subspace
+        image = sf.space.coefficients(sf.subspace, model.space.constant()) @ sf.matrix @ sf.subspace
         assert model.space.norm(image) <= 1e-10
         clipped = stage_generator(model, model.basis, StageIndex(4, 8, 2, 2))
         assert clipped.quad_form(model.space.constant()) > 1e-6
